@@ -25,11 +25,13 @@ bench:
 # then the timing-simulation benchmarks into BENCH_sim.json (ns/op, B/op,
 # allocs/op and extra metrics per benchmark) so regressions are comparable
 # across PRs. The GridScale sweep (solve time vs node count per solver
-# tier, n=32..2048, with grid_nodes as an extra metric) runs once per
-# size (-benchtime 1x) and lands in the same BENCH_pgrid.json.
+# tier, n=32..2048, with grid_nodes and per-solve work counters as extra
+# metrics) runs each point for at least 200 ms, so fast points average
+# many solves while the slowest sizes still run a single one, and lands
+# in the same BENCH_pgrid.json.
 bench-json:
 	{ go test -run '^$$' -bench 'Solve|Factor|Pgrid|IRDrop|ProfilePatterns' -benchmem . && \
-	  go test -run '^$$' -bench 'GridScale' -benchtime 1x -benchmem . ; } | go run ./cmd/benchjson -o $(BENCH_DIR)/BENCH_pgrid.json
+	  go test -run '^$$' -bench 'GridScale' -benchtime 200ms -benchmem . ; } | go run ./cmd/benchjson -o $(BENCH_DIR)/BENCH_pgrid.json
 	go test -run '^$$' -bench 'Launch|TimingSimulation' -benchmem . | go run ./cmd/benchjson -o $(BENCH_DIR)/BENCH_sim.json
 	go test -run '^$$' -bench '^BenchmarkDrop$$|DetectionCounts|GradeFaultSim|GradeDetections|ScreenPatterns|ProfilePatternsSerial' -benchmem . | go run ./cmd/benchjson -o $(BENCH_DIR)/BENCH_faultsim.json
 	go test -run '^$$' -bench 'ATPGGenerate' -benchmem . | go run ./cmd/benchjson -o $(BENCH_DIR)/BENCH_atpg.json

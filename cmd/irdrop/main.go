@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	irdrop [-scale N] [-dynamic] [-all] [-mc T] [-pattern P] [-model CAP|SCAP] [-map] [-workers W] [-solver factored|sparse|mg|sor|auto]
+//	irdrop [-scale N] [-dynamic] [-all] [-mc T] [-pattern P] [-model CAP|SCAP] [-map] [-workers W] [-solver sparse|factored|mg|sor|auto]
 //	       [-report F.json] [-metrics-addr :6060] [-trace F.json] [-snapshot-interval D]
 package main
 
@@ -32,7 +32,7 @@ func main() {
 	showMap := flag.Bool("map", false, "render the VDD drop heatmap")
 	doFTAS := flag.Bool("ftas", false, "run the faster-than-at-speed overkill sweep")
 	workers := flag.Int("workers", 0, "analysis workers (0 = all cores, 1 = serial)")
-	solverName := flag.String("solver", "factored", core.SolverFlagUsage)
+	solverName := flag.String("solver", "sparse", core.SolverFlagUsage)
 	obsFlags := obs.RegisterFlags()
 	flag.Parse()
 

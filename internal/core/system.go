@@ -62,12 +62,12 @@ type Config struct {
 	// index-addressed outputs.
 	Workers int
 
-	// Solver picks the power-grid solve path: the cached banded-LDLᵀ
-	// factorization (SolverFactored, the default), the sparse LDLᵀ under
-	// a nested-dissection ordering (SolverSparse), geometric multigrid
+	// Solver picks the power-grid solve path: the sparse LDLᵀ under a
+	// nested-dissection ordering (SolverSparse, the default), the cached
+	// banded-LDLᵀ factorization (SolverFactored), geometric multigrid
 	// (SolverMG), the iterative SOR fallback (SolverSOR), or SolverAuto,
 	// which Build resolves from the mesh node count. Grid calibration
-	// always uses the exact factored solve, so the built grids are
+	// always uses the exact sparse solve, so the built grids are
 	// identical across choices.
 	Solver Solver
 }
@@ -86,7 +86,7 @@ func DefaultConfig(scale int) Config {
 		GridCalibTargetV: 0.11,
 		BacktrackLimit:   64,
 		Seed:             1,
-		Solver:           SolverFactored,
+		Solver:           SolverSparse,
 	}
 }
 
@@ -201,11 +201,11 @@ func (sys *System) buildGrids() error {
 		for i := range cur {
 			cur[i] /= 2 // rising edges only on the VDD rail
 		}
-		// Calibrate with the exact factored solve regardless of the
+		// Calibrate with the exact sparse solve regardless of the
 		// configured per-pattern solver: the scale factor then carries no
 		// iteration-tolerance noise, so -solver only changes how solves
 		// are computed, never which grids they run on.
-		sol, err := vdd.SolveFactored(vdd.InjectInstCurrents(sys.D, cur), nil, nil)
+		sol, err := vdd.SolveSparse(vdd.InjectInstCurrents(sys.D, cur), nil, nil)
 		if err != nil {
 			return fmt.Errorf("core: grid calibration: %w", err)
 		}

@@ -128,12 +128,14 @@ func levelFactorize(n int, padG []float64, gseg float64) (*Factorization, error)
 }
 
 // SolveScratch is caller-owned intermediate storage for the direct and
-// multigrid solve paths: the forward-substitution vector plus the
-// per-level multigrid buffers (grown lazily on first SolveMultigrid).
-// One per worker; never shared between concurrent solves.
+// multigrid solve paths: the banded forward-substitution vector, the
+// sparse tier's interleaved batch work vector, and the per-level
+// multigrid buffers (each grown lazily on first use). One per worker;
+// never shared between concurrent solves.
 type SolveScratch struct {
-	y  []float64
-	mg *mgScratch
+	y     []float64
+	lanes [][BatchWidth]float64
+	mg    *mgScratch
 }
 
 // solveBand solves the factored system L·D·Lᵀ·v = b in the raw mesh

@@ -2,11 +2,14 @@
 // IR-drop: a uniform resistive mesh per rail (VDD and VSS have the same
 // topology), fed by pads distributed around the die periphery (the paper's
 // design has 37 VDD and 37 VSS pads), with cell currents injected at their
-// placed locations. The mesh equation G·v = I is solved either by a cached
-// banded LDLᵀ factorization (SolveFactored — the per-pattern hot path,
-// which amortizes the matrix work once per grid) or by successive
-// over-relaxation (Solve/SolveWarm — the iterative fallback and
-// cross-validation oracle).
+// placed locations. The mesh equation G·v = I is solved by a cached
+// sparse nested-dissection LDLᵀ factorization (SolveSparse and the
+// batched SolveSparseBatch — the per-pattern hot path, which amortizes
+// the matrix work once per grid and streams the factor once per
+// BatchWidth injections), a cached banded LDLᵀ (SolveFactored), geometric
+// multigrid (SolveMultigrid), or successive over-relaxation
+// (Solve/SolveWarm — the iterative fallback and cross-validation
+// oracle).
 //
 // Both analyses of the paper run on top of this solver:
 //
@@ -100,6 +103,10 @@ type Grid struct {
 	fp *place.Floorplan
 	// padG[i] is the pad conductance attached to node i (0 if none).
 	padG []float64
+	// nodeBlock[i] is the floorplan block holding node i's center
+	// (fp.BlockAt of NodeXY(i), NoBlock outside every block), computed
+	// once so the per-block reductions never re-scan the floorplan.
+	nodeBlock []int32
 
 	// Cached banded LDLᵀ factorization of the conductance matrix (see
 	// factor.go); built lazily on the first SolveFactored/Factor call and
@@ -127,10 +134,14 @@ func New(fp *place.Floorplan, p Params) (*Grid, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Grid{P: p, fp: fp, padG: make([]float64, p.N*p.N)}
+	nn := p.N * p.N
+	g := &Grid{P: p, fp: fp, padG: make([]float64, nn), nodeBlock: make([]int32, nn)}
 	for i := 0; i < p.NumPads; i++ {
 		x, y := padXY(float64(i)+p.PadOffset, p.NumPads, fp)
 		g.padG[g.NodeOf(x, y)] += 1 / p.PadRes
+	}
+	for node := range g.nodeBlock {
+		g.nodeBlock[node] = int32(fp.BlockAt(g.NodeXY(node)))
 	}
 	return g, nil
 }
@@ -331,9 +342,9 @@ func (s *Solution) At(g *Grid, x, y float64) float64 {
 // count only toward the chip entry.
 func (s *Solution) WorstPerBlock(g *Grid, numBlocks int) []float64 {
 	out := make([]float64, numBlocks+1)
+	blocks := g.nodeBlock[:len(s.Drop)]
 	for node, d := range s.Drop {
-		x, y := g.NodeXY(node)
-		if b := g.fp.BlockAt(x, y); b >= 0 && b < numBlocks && d > out[b] {
+		if b := int(blocks[node]); b >= 0 && b < numBlocks && d > out[b] {
 			out[b] = d
 		}
 		if d > out[numBlocks] {
@@ -348,9 +359,9 @@ func (s *Solution) WorstPerBlock(g *Grid, numBlocks int) []float64 {
 func (s *Solution) MeanPerBlock(g *Grid, numBlocks int) []float64 {
 	sum := make([]float64, numBlocks+1)
 	cnt := make([]int, numBlocks+1)
+	blocks := g.nodeBlock[:len(s.Drop)]
 	for node, d := range s.Drop {
-		x, y := g.NodeXY(node)
-		if b := g.fp.BlockAt(x, y); b >= 0 && b < numBlocks {
+		if b := int(blocks[node]); b >= 0 && b < numBlocks {
 			sum[b] += d
 			cnt[b]++
 		}
