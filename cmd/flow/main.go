@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	flow [-scale N] [-out dir] [-workers W] [-solver sparse|factored|mg|sor|auto] [-screen F]
+//	flow [-scale N] [-out dir] [-workers W] [-solver sparse|factored|mg|auto] [-screen F]
 //	     [-cpuprofile F] [-memprofile F] [-report F.json] [-metrics-addr :6060]
 //	     [-trace F.json] [-trace-sample N] [-snapshot-interval D]
 //

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	irdrop [-scale N] [-dynamic] [-all] [-mc T] [-pattern P] [-model CAP|SCAP] [-map] [-workers W] [-solver sparse|factored|mg|sor|auto]
+//	irdrop [-scale N] [-dynamic] [-all] [-mc T] [-pattern P] [-model CAP|SCAP] [-map] [-workers W] [-solver sparse|factored|mg|auto]
 //	       [-report F.json] [-metrics-addr :6060] [-trace F.json] [-snapshot-interval D]
 package main
 

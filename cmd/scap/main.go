@@ -6,7 +6,7 @@
 // Usage:
 //
 //	scap [-scale N] [-flow conventional|new] [-block B5] [-top K] [-plot] [-workers W]
-//	     [-solver sparse|factored|mg|sor|auto] [-screen F] [-report F.json] [-metrics-addr :6060]
+//	     [-solver sparse|factored|mg|auto] [-screen F] [-report F.json] [-metrics-addr :6060]
 //	     [-trace F.json] [-trace-sample N] [-snapshot-interval D]
 //
 // With -screen F (0 < F <= 1) the packed zero-delay pre-screen ranks all

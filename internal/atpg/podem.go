@@ -1,8 +1,6 @@
 package atpg
 
 import (
-	"sort"
-
 	"scap/internal/cell"
 	"scap/internal/fault"
 	"scap/internal/logic"
@@ -58,10 +56,7 @@ func (e *engine) setupFault(f *fault.Fault) bool {
 
 	// Fault injection. The stuck value is propagated eagerly so the
 	// committed faulty rail is always the exact function closure of the
-	// current assignment set — the invariant the packed overlay relies on:
-	// a lazily-unpropagated site value would let the overlay wave (which
-	// evaluates every scheduled gate in all slots) derive faulty values in
-	// slots whose own events never scheduled those gates.
+	// current assignment set, whichever gates later waves schedule.
 	e.set(2, e.site, e.stuck)
 	e.schedule2(e.site)
 	e.wave()
@@ -76,7 +71,6 @@ func (e *engine) teardown() {
 	e.undoTo(0)
 	e.decs = e.decs[:0]
 	e.backtracks = 0
-	e.specOn = false
 }
 
 // excited reports whether the launch transition is fully justified: the
@@ -405,17 +399,11 @@ func (e *engine) generateWith(f *fault.Fault, base Cube) (Cube, engineResult) {
 		return Cube{}, genUntestable
 	}
 	e.applyBase(base)
-	if e.spec != nil {
-		return e.searchPacked()
-	}
-	return e.searchScalar()
+	return e.search()
 }
 
-// searchScalar is the classical one-implication-at-a-time PODEM loop. It
-// is retained verbatim as the cross-validation oracle for the packed
-// speculative search (see podem_packed.go): both must produce identical
-// cubes, verdicts and backtrack counts for every (fault, base) pair.
-func (e *engine) searchScalar() (Cube, engineResult) {
+// search is the classical one-implication-at-a-time PODEM loop.
+func (e *engine) search() (Cube, engineResult) {
 	for {
 		if e.backtracks > e.limit {
 			return Cube{}, genAborted
@@ -437,45 +425,23 @@ func (e *engine) searchScalar() (Cube, engineResult) {
 	}
 }
 
-// applyBase pins earlier-cube assignments (deterministic order) without
-// putting them on the decision stack, so backtracking never undoes them.
-// The scalar oracle settles one implication wave per care bit, the
-// classical shape; the packed engine batches the whole cube into a single
-// wave (applyBaseBatch) — under dynamic compaction base bits dominate the
-// engine's wave count, so this is where most of its waves-per-cube
-// reduction comes from.
-func (e *engine) applyBase(base Cube) {
-	if e.spec != nil {
-		e.applyBaseBatch(base)
-		return
-	}
-	for _, idx := range sortedKeys(base.State) {
-		f := e.d.Flops[idx]
-		if e.val1[e.d.Insts[f].Out] == logic.X {
-			e.assignInput(inputRef{isPI: false, idx: idx}, base.State[idx])
-		}
-	}
-	for _, idx := range sortedKeys(base.PIs) {
-		n := e.d.PIs[idx]
-		if e.val1[n] == logic.X {
-			e.assignInput(inputRef{isPI: true, idx: idx}, base.PIs[idx])
-		}
-	}
-}
-
-// applyBaseBatch places every still-unassigned care bit of the base and
-// settles them in one implication wave. The result is the same fixpoint
-// the sequential oracle reaches: Kleene implication is monotone and
-// confluent, so the closure of a set of root assignments is independent
-// of application order and of whether a bit another bit already implies
-// is written as a root or derived by the wave. Base cubes are mutually
-// consistent by construction (they were jointly committed when earlier
-// targets accepted them) and the frame-1/frame-2 good rails carry no
+// applyBase pins earlier-cube assignments without putting them on the
+// decision stack, so backtracking never undoes them. It places every
+// still-unassigned care bit of the base and settles them in one
+// implication wave — under dynamic compaction base bits would otherwise
+// dominate the engine's wave count. The result is the same fixpoint as
+// settling one wave per care bit (the reference the tests check it
+// against): Kleene implication is monotone and confluent, so the closure
+// of a set of root assignments is independent of application order and
+// of whether a bit another bit already implies is written as a root or
+// derived by the wave. Base cubes are mutually consistent by
+// construction (they were jointly committed when earlier targets
+// accepted them) and the frame-1/frame-2 good rails carry no
 // fault-dependent state, so a bit can never arrive implied to the
 // opposite value. Iteration order is free to be the map's: each (rail,
 // net) pair is written at most once per batch, so trail restoration is
 // order-independent too.
-func (e *engine) applyBaseBatch(base Cube) {
+func (e *engine) applyBase(base Cube) {
 	placed := 0
 	for idx, v := range base.State {
 		f := e.d.Flops[idx]
@@ -495,15 +461,6 @@ func (e *engine) applyBaseBatch(base Cube) {
 		e.stats.waves++
 		e.wave()
 	}
-}
-
-func sortedKeys(m map[int]logic.V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }
 
 // cube extracts the decision assignments as a test cube.

@@ -165,7 +165,7 @@ func TestBatchWidthPerTier(t *testing.T) {
 	for _, c := range []struct {
 		s    Solver
 		want int
-	}{{SolverSparse, pgrid.BatchWidth}, {SolverFactored, 1}, {SolverMG, 1}, {SolverSOR, 1}} {
+	}{{SolverSparse, pgrid.BatchWidth}, {SolverFactored, 1}, {SolverMG, 1}} {
 		sys := &System{Solver: c.s}
 		if got := sys.batchWidth(); got != c.want {
 			t.Errorf("%v: batch width %d, want %d", c.s, got, c.want)

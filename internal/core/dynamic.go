@@ -102,7 +102,8 @@ func (sys *System) dynamicIRDrop(ps *profScratch, p *atpg.Pattern, dom int, mode
 
 // IRDropSummary is one pattern's result from the batched dynamic
 // analysis: the worst node drop per block (chip entry at index
-// NumBlocks) on each rail, volts, plus the SOR effort that produced it.
+// NumBlocks) on each rail, volts, plus the solver iterations that
+// produced it (multigrid V-cycles; 1 for a direct solve).
 // The full node-by-node maps of DynamicIR are deliberately not kept —
 // screening a whole pattern set only consumes the per-block extremes,
 // and dropping the maps is what lets each worker recycle its solver
@@ -138,13 +139,7 @@ type irScratch struct {
 // over the grid's shared read-only factorization, and every pattern's
 // answer is bit-identical to its lone solve, so results are identical
 // for any worker count by construction; the banded and multigrid tiers
-// solve the chunk's patterns one by one. Under the SOR fallback,
-// pattern 0 is solved cold first and its rail solutions become the
-// shared warm-start guess for every remaining pattern — per-pattern
-// injections resemble each other, so SOR converges in a fraction of the
-// cold iteration count, and because the guess is the same for every
-// pattern the results are again identical for any worker count (each
-// solve still runs to the grid's own tolerance).
+// solve the chunk's patterns one by one, each from a cold start.
 func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropSummary, error) {
 	defer obs.StartSpan("dynamic-irdrop-all").End()
 	n := len(fr.Patterns)
@@ -153,8 +148,9 @@ func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropS
 		return out, nil
 	}
 	width := sys.batchWidth()
+	chunks := (n + width - 1) / width
 	workers := parallel.Resolve(sys.Workers)
-	if chunks := (n + width - 1) / width; workers > chunks {
+	if workers > chunks {
 		workers = chunks
 	}
 	pool := sys.profPool(workers)
@@ -162,9 +158,8 @@ func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropS
 	nb := sys.D.NumBlocks
 
 	// eval simulates patterns [lo, hi) (at most width) on worker
-	// w's scratch and solves both rails for them, warm-started from the
-	// given guesses (nil = cold).
-	eval := func(w, lo, hi int, warmVDD, warmVSS []float64) error {
+	// w's scratch and solves both rails for them.
+	eval := func(w, lo, hi int) error {
 		ps, sc := &pool[w], &scratch[w]
 		lanes := hi - lo
 		for k := 0; k < lanes; k++ {
@@ -185,10 +180,10 @@ func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropS
 			sc.cur = power.InstCurrentsInto(sc.cur, sys.D, ps.meter.RawInstEnergyVSS(), window)
 			sc.injVSS[k] = sys.GridVSS.InjectInstCurrentsInto(sc.injVSS[k], sys.D, sc.cur)
 		}
-		if err := sys.solveRail(sys.GridVDD, sc.injVDD[:lanes], warmVDD, sc.solVDD[:lanes], &sc.fs); err != nil {
+		if err := sys.solveRail(sys.GridVDD, sc.injVDD[:lanes], nil, sc.solVDD[:lanes], &sc.fs); err != nil {
 			return fmt.Errorf("core: dynamic solve patterns %d-%d: %w", lo, hi-1, err)
 		}
-		if err := sys.solveRail(sys.GridVSS, sc.injVSS[:lanes], warmVSS, sc.solVSS[:lanes], &sc.fs); err != nil {
+		if err := sys.solveRail(sys.GridVSS, sc.injVSS[:lanes], nil, sc.solVSS[:lanes], &sc.fs); err != nil {
 			return fmt.Errorf("core: dynamic solve patterns %d-%d: %w", lo, hi-1, err)
 		}
 		for k := 0; k < lanes; k++ {
@@ -203,41 +198,21 @@ func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropS
 		}
 		return nil
 	}
-	// evalChunks fans patterns [first, n) out in chunks of width.
-	evalChunks := func(first int, warmVDD, warmVSS []float64) error {
-		chunks := (n - first + width - 1) / width
-		return parallel.For(workers, chunks, func(w, c int) error {
-			lo := first + c*width
-			return eval(w, lo, min(lo+width, n), warmVDD, warmVSS)
-		})
-	}
-
-	if sys.Solver != SolverSOR {
-		// Direct and multigrid paths: every solve is independent of the
-		// others, so all chunks fan out at once. Build both rails' solver
-		// state up front rather than inside the first solves, so the
-		// one-time cost is not attributed to a worker's chunk.
-		if err := sys.prefactor(sys.GridVDD); err != nil {
-			return nil, err
-		}
-		if err := sys.prefactor(sys.GridVSS); err != nil {
-			return nil, err
-		}
-		if err := evalChunks(0, nil, nil); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-
-	// SOR fallback. Cold baseline: pattern 0 alone on worker 0, then copy
-	// its drops out of the recyclable scratch as the shared read-only
-	// warm guess.
-	if err := eval(0, 0, 1, nil, nil); err != nil {
+	// Every solve is independent of the others, so all chunks fan out at
+	// once. Build both rails' solver state up front rather than inside
+	// the first solves, so the one-time cost is not attributed to a
+	// worker's chunk.
+	if err := sys.prefactor(sys.GridVDD); err != nil {
 		return nil, err
 	}
-	warmVDD := append([]float64(nil), scratch[0].solVDD[0].Drop...)
-	warmVSS := append([]float64(nil), scratch[0].solVSS[0].Drop...)
-	if err := evalChunks(1, warmVDD, warmVSS); err != nil {
+	if err := sys.prefactor(sys.GridVSS); err != nil {
+		return nil, err
+	}
+	err := parallel.For(workers, chunks, func(w, c int) error {
+		lo := c * width
+		return eval(w, lo, min(lo+width, n))
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

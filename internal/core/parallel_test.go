@@ -127,37 +127,12 @@ func TestDynamicIRDropAllMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestDynamicIRDropAllSORWarmStart pins the SOR fallback's warm-start
-// contract: later patterns must converge in fewer sweeps than the cold
-// first solve on average.
-func TestDynamicIRDropAllSORWarmStart(t *testing.T) {
-	sys, _, conv, _ := build(t)
-	setSolver(t, sys, SolverSOR)
-	all, err := sys.DynamicIRDropAll(conv, ModelSCAP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) <= 2 {
-		t.Skip("too few patterns to compare warm vs cold")
-	}
-	warmSum, n := 0, 0
-	for _, s := range all[1:] {
-		warmSum += s.IterVDD
-		n++
-	}
-	if mean := float64(warmSum) / float64(n); mean >= float64(all[0].IterVDD) {
-		t.Fatalf("warm-started mean %v sweeps not below cold %d", mean, all[0].IterVDD)
-	}
-}
-
 // TestDynamicIRDropAllSolverEquivalence is the cross-solver acceptance
 // contract: the batched analysis must agree field-for-field across all
-// four solver tiers — banded factored, sparse nested-dissection LDLᵀ,
-// multigrid and the SOR fallback — within 1e-9 V once the iterative
-// tiers run at a tolerance tight enough to be comparable to an exact
-// solve. (The default 1e-7 SOR tolerance is what the direct solvers
-// remove; the grids themselves are identical because calibration is
-// always exact.)
+// three solver tiers — banded factored, sparse nested-dissection LDLᵀ
+// and multigrid — within 1e-9 V once multigrid runs at a tolerance
+// tight enough to be comparable to an exact solve. (The grids
+// themselves are identical because calibration is always exact.)
 func TestDynamicIRDropAllSolverEquivalence(t *testing.T) {
 	sys, _, conv, _ := build(t)
 	setSolver(t, sys, SolverFactored)
@@ -170,8 +145,8 @@ func TestDynamicIRDropAllSolverEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The iterative tiers (multigrid, SOR) run at a tolerance tight
-	// enough to compare against the exact solves.
+	// Multigrid runs at a tolerance tight enough to compare against the
+	// exact solves.
 	for _, g := range []*pgrid.Grid{sys.GridVDD, sys.GridVSS} {
 		oldTol, oldIter := g.P.Tol, g.P.MaxIter
 		g.P.Tol, g.P.MaxIter = 1e-13, 400000
@@ -179,11 +154,6 @@ func TestDynamicIRDropAllSolverEquivalence(t *testing.T) {
 	}
 	sys.Solver = SolverMG
 	mg, err := sys.DynamicIRDropAll(conv, ModelSCAP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys.Solver = SolverSOR
-	sor, err := sys.DynamicIRDropAll(conv, ModelSCAP)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +186,6 @@ func TestDynamicIRDropAllSolverEquivalence(t *testing.T) {
 	}
 	compare("sparse", sparse)
 	compare("mg", mg)
-	compare("sor", sor)
 }
 
 // TestSolverAutoResolve pins the auto tier's size thresholds and that
@@ -238,7 +207,7 @@ func TestSolverAutoResolve(t *testing.T) {
 			t.Errorf("auto at %d nodes resolved to %v, want %v", c.nodes, got, c.want)
 		}
 	}
-	for _, s := range []Solver{SolverFactored, SolverSparse, SolverMG, SolverSOR} {
+	for _, s := range []Solver{SolverFactored, SolverSparse, SolverMG} {
 		if got := s.Resolve(1 << 20); got != s {
 			t.Errorf("%v resolved to %v, want unchanged", s, got)
 		}
@@ -248,14 +217,16 @@ func TestSolverAutoResolve(t *testing.T) {
 // TestSolverParseRoundTrip: every tier's String() parses back to
 // itself, and bad names are rejected.
 func TestSolverParseRoundTrip(t *testing.T) {
-	for _, s := range []Solver{SolverFactored, SolverSparse, SolverMG, SolverSOR, SolverAuto} {
+	for _, s := range []Solver{SolverFactored, SolverSparse, SolverMG, SolverAuto} {
 		got, err := ParseSolver(s.String())
 		if err != nil || got != s {
 			t.Errorf("ParseSolver(%q) = %v, %v", s.String(), got, err)
 		}
 	}
-	if _, err := ParseSolver("multigrid"); err == nil {
-		t.Error("ParseSolver accepted an unknown name")
+	for _, bad := range []string{"multigrid", "sor"} {
+		if _, err := ParseSolver(bad); err == nil {
+			t.Errorf("ParseSolver accepted the unknown name %q", bad)
+		}
 	}
 }
 

@@ -22,10 +22,6 @@ const (
 	// as the independent exact second tier that cross-checks the sparse
 	// default.
 	SolverFactored Solver = iota
-	// SolverSOR keeps the iterative successive-over-relaxation path with
-	// shared warm starts — the factor-free fallback and the
-	// cross-validation oracle the equivalence tests run against.
-	SolverSOR
 	// SolverSparse (the default) solves against the grid's cached sparse
 	// LDLᵀ factorization under a geometric nested-dissection ordering.
 	// Same exactness and sharing discipline as SolverFactored, but factor
@@ -39,8 +35,7 @@ const (
 	// factor storage at all — the tier for meshes where even the sparse
 	// factor's O(N·log N) bites. The smoother/residual/transfer passes
 	// fan out over the grid's Workers knob (row-blocked, bit-identical
-	// for any count), and per-pattern warm starts cut the V-cycle count
-	// the way they cut SOR sweeps.
+	// for any count), and warm starts cut the V-cycle count.
 	SolverMG
 	// SolverAuto defers the choice to Build, which resolves it from the
 	// mesh node count: sparse up to autoMGNodes, multigrid above.
@@ -68,8 +63,6 @@ func (s Solver) Resolve(nodes int) Solver {
 // String names the solver the way the -solver flag spells it.
 func (s Solver) String() string {
 	switch s {
-	case SolverSOR:
-		return "sor"
 	case SolverSparse:
 		return "sparse"
 	case SolverMG:
@@ -83,12 +76,12 @@ func (s Solver) String() string {
 // SolverNames lists the accepted -solver spellings, in the order the
 // CLIs document them. ParseSolver renders its error from this one list,
 // so every CLI rejects a bad -solver with the same accepted set.
-const SolverNames = "sparse|factored|mg|sor|auto"
+const SolverNames = "sparse|factored|mg|auto"
 
 // SolverFlagUsage is the shared help text the CLIs register their
 // -solver flag with, so the three frontends (irdrop, flow, scap)
 // document the tiers identically.
-const SolverFlagUsage = "power-grid solver: sparse (nested-dissection LDLᵀ, batched, default) | factored (banded LDLᵀ) | mg (geometric multigrid, factor-free) | sor (iterative fallback) | auto (pick by mesh size)"
+const SolverFlagUsage = "power-grid solver: sparse (nested-dissection LDLᵀ, batched, default) | factored (banded LDLᵀ) | mg (geometric multigrid, factor-free) | auto (pick by mesh size)"
 
 // ParseSolver maps a -solver flag value onto a Solver; the empty name
 // is the default tier.
@@ -100,8 +93,6 @@ func ParseSolver(name string) (Solver, error) {
 		return SolverFactored, nil
 	case "mg":
 		return SolverMG, nil
-	case "sor":
-		return SolverSOR, nil
 	case "auto":
 		return SolverAuto, nil
 	}
@@ -114,8 +105,7 @@ func ParseSolver(name string) (Solver, error) {
 // tier. The sparse tier solves the whole batch in one pass over its
 // factor; the other tiers loop over the lanes, so callers keep one code
 // path whatever the tier. warm (one initial guess shared by every lane)
-// applies to the iterative paths (SOR and multigrid), scratch to the
-// direct and multigrid paths. SolverAuto never reaches here — Build
+// applies to the multigrid path, scratch to every path. SolverAuto never reaches here — Build
 // resolves it to a concrete tier.
 func (sys *System) solveRail(g *pgrid.Grid, inj [][]float64, warm []float64, sols []*pgrid.Solution, scratch *pgrid.SolveScratch) error {
 	if sys.Solver == SolverSparse {
@@ -123,12 +113,9 @@ func (sys *System) solveRail(g *pgrid.Grid, inj [][]float64, warm []float64, sol
 	}
 	for k, b := range inj {
 		var err error
-		switch sys.Solver {
-		case SolverSOR:
-			sols[k], err = g.SolveWarm(b, warm, sols[k])
-		case SolverMG:
+		if sys.Solver == SolverMG {
 			sols[k], err = g.SolveMultigrid(b, warm, sols[k], scratch)
-		default:
+		} else {
 			sols[k], err = g.SolveFactored(b, sols[k], scratch)
 		}
 		if err != nil {
@@ -165,11 +152,9 @@ func (sys *System) solveRailOne(g *pgrid.Grid, inj []float64) (*pgrid.Solution, 
 // prefactor builds the configured solver's one-time state for g up
 // front, on the calling goroutine, so the one-time cost (factorization
 // or multigrid hierarchy, and its obs span) lands outside the worker
-// pool and per-pattern timing. A no-op for the iterative SOR tier.
+// pool and per-pattern timing.
 func (sys *System) prefactor(g *pgrid.Grid) error {
 	switch sys.Solver {
-	case SolverSOR:
-		return nil
 	case SolverSparse:
 		_, err := g.SparseFactor()
 		return err

@@ -65,7 +65,7 @@ type Config struct {
 	// Solver picks the power-grid solve path: the sparse LDLᵀ under a
 	// nested-dissection ordering (SolverSparse, the default), the cached
 	// banded-LDLᵀ factorization (SolverFactored), geometric multigrid
-	// (SolverMG), the iterative SOR fallback (SolverSOR), or SolverAuto,
+	// (SolverMG), or SolverAuto,
 	// which Build resolves from the mesh node count. Grid calibration
 	// always uses the exact sparse solve, so the built grids are
 	// identical across choices.

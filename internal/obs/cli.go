@@ -85,19 +85,3 @@ func (f *Flags) Finish(w io.Writer, tool string, config any) error {
 	fmt.Fprint(w, "\n", r.SummaryTable())
 	return nil
 }
-
-// SetupCLI wires the v1 observability flag pair: if either -report or
-// -metrics-addr was given, instrumentation is enabled (and the metrics
-// listener started). Kept for callers without the full Flags bundle.
-func SetupCLI(reportPath, metricsAddr string) error {
-	f := Flags{Report: reportPath, MetricsAddr: metricsAddr}
-	return f.Setup()
-}
-
-// FinishCLI is the matching v1 exit hook: it builds the run report,
-// writes it to reportPath when non-empty, and prints the human-readable
-// stage summary to w. A no-op while instrumentation is disabled.
-func FinishCLI(w io.Writer, tool, reportPath string, config any) error {
-	f := Flags{Report: reportPath}
-	return f.Finish(w, tool, config)
-}

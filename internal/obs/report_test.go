@@ -172,10 +172,10 @@ func TestCollectProvenance(t *testing.T) {
 func TestFinishCLIDisabledIsNoop(t *testing.T) {
 	resetForTest(t)
 	var b strings.Builder
-	if err := FinishCLI(&b, "test", "", nil); err != nil {
+	if err := (&Flags{}).Finish(&b, "test", nil); err != nil {
 		t.Fatal(err)
 	}
 	if b.Len() != 0 {
-		t.Errorf("disabled FinishCLI wrote output: %q", b.String())
+		t.Errorf("disabled Finish wrote output: %q", b.String())
 	}
 }
