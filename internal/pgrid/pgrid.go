@@ -8,8 +8,8 @@
 // the matrix work once per grid and streams the factor once per
 // BatchWidth injections), a cached banded LDLᵀ (SolveFactored), geometric
 // multigrid (SolveMultigrid), or successive over-relaxation
-// (Solve/SolveWarm — the iterative fallback and cross-validation
-// oracle).
+// (Solve/SolveWarm — the iterative cross-validation oracle, which no
+// production solver tier dispatches to).
 //
 // Both analyses of the paper run on top of this solver:
 //
