@@ -98,8 +98,8 @@ func main() {
 			c := res.Counts
 			fmt.Printf("single run (%v, %v): %d patterns\n", mode, fill, len(res.Patterns))
 			if g := res.Gen; g.Waves > 0 && len(res.Patterns) > 0 {
-				fmt.Printf("  implication: %d waves, %d decisions, %d backtracks\n",
-					g.Waves, g.Decisions, g.Backtracks)
+				fmt.Printf("  implication: %d waves, %d decisions, %d backtracks, %d cone gates\n",
+					g.Waves, g.Decisions, g.Backtracks, g.ConeGates)
 			}
 			fmt.Printf("  faults: %d targeted, %d detected, %d aborted, %d untestable\n",
 				c.Total, c.Detected, c.Aborted, c.Untestable)

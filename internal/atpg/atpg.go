@@ -25,6 +25,7 @@ var (
 	cFillBusyNs    = obs.NewCounter("atpg.fill_busy_ns")
 	cGenWaves      = obs.NewCounter("atpg.implication_waves")
 	cGenBacktracks = obs.NewCounter("atpg.backtracks")
+	cGenConeGates  = obs.NewCounter("atpg.cone_gates")
 )
 
 // tkFaults is the per-fault attribution table: the faults whose PODEM
@@ -110,6 +111,9 @@ type GenStats struct {
 	// Decisions and Backtracks mirror the classical PODEM effort metrics.
 	Decisions  int64
 	Backtracks int64
+	// ConeGates sums the frame-2 fanout-cone sizes over every fault
+	// setup: the work of the cone walks, which is proportional to it.
+	ConeGates int64
 }
 
 // Result is the outcome of one ATPG run.
@@ -167,12 +171,7 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 		mode:  opts.Mode,
 		limit: opts.BacktrackLimit,
 	}
-	if opts.Blocks != nil {
-		cfg.prefer = map[int]bool{}
-		for _, b := range opts.Blocks {
-			cfg.prefer[b] = true
-		}
-	}
+	cfg.prefer = newBlockSet(opts.Blocks)
 	cfg.excludePI = map[int]bool{}
 	cfg.constPI = map[int]logic.V{}
 	if sc != nil {
@@ -339,6 +338,7 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 		res.Gen.Waves += en.stats.waves
 		res.Gen.Decisions += en.stats.decisions
 		res.Gen.Backtracks += en.stats.backtracks
+		res.Gen.ConeGates += en.stats.coneGates
 	}
 
 	cATPGRuns.Add(1)
@@ -347,6 +347,7 @@ func Run(fs *faultsim.Sim, l *fault.List, sc *scan.Scan, opts Options) (*Result,
 	cFillBusyNs.Add(fillBusy)
 	cGenWaves.Add(res.Gen.Waves)
 	cGenBacktracks.Add(res.Gen.Backtracks)
+	cGenConeGates.Add(res.Gen.ConeGates)
 	res.Counts = l.CountOf(subset)
 	return res, nil
 }
@@ -412,6 +413,7 @@ func statsDelta(after, before genStats) genStats {
 		waves:      after.waves - before.waves,
 		decisions:  after.decisions - before.decisions,
 		backtracks: after.backtracks - before.backtracks,
+		coneGates:  after.coneGates - before.coneGates,
 	}
 }
 

@@ -90,6 +90,7 @@ type genStats struct {
 	waves      int64 // implication waves
 	decisions  int64 // decisions committed to the stack
 	backtracks int64 // decision flips
+	coneGates  int64 // frame-2 fanout-cone gates summed over setupFault calls
 }
 
 // engine is the two-frame PODEM machine. One engine is reused across all
@@ -97,6 +98,7 @@ type genStats struct {
 // its own.
 type engine struct {
 	d      *netlist.Design
+	fo     *netlist.Fanout
 	dom    int
 	mode   LaunchMode
 	levels []int32
@@ -108,14 +110,17 @@ type engine struct {
 	trail []trailEnt
 	decs  []decision
 
-	// xfer maps a frame-1 net to the flops whose V2 output follows it
+	// xfer lists, per frame-1 net, the flops whose V2 output follows it
 	// (capture D-net for LOC, predecessor Q / scan-in for LOS); xferSrc is
-	// the inverse used by backward traversal.
-	xfer    map[netlist.NetID][]netlist.InstID
-	xferSrc map[netlist.InstID]netlist.NetID
-	hold    map[netlist.InstID]bool // flops that keep V1 in frame 2
-
-	flopIdx map[netlist.InstID]int
+	// the per-instance inverse used by backward traversal (NoNet when the
+	// instance has no transfer source).
+	xfer    [][]netlist.InstID
+	xferSrc []netlist.NetID
+	hold    []bool  // by instance: flops that keep V1 in frame 2
+	flopIdx []int32 // by instance: position in d.Flops, -1 for gates
+	// capture marks the nets that feed the D pin of a target-domain flop:
+	// the observable endpoints of a fault effect.
+	capture []bool
 
 	decidablePI []bool // per PI index: usable as a decision variable
 	piConst     map[int]logic.V
@@ -125,12 +130,7 @@ type engine struct {
 	stuck logic.V
 	cone  []netlist.InstID // frame-2 fanout cone, topo order
 	obs   []netlist.NetID  // observable D nets (dom flops) in the cone
-
-	// obsSeen/obsGen dedup observable endpoints in setupFault: a net is
-	// "seen this fault" when its stamp equals the current generation, so
-	// resetting between faults is a single counter bump.
-	obsSeen []uint32
-	obsGen  uint32
+	marks netlist.ConeMarks
 
 	// propagation buckets, one per level and frame
 	b1, b2   [][]netlist.InstID
@@ -142,7 +142,7 @@ type engine struct {
 
 	// prefer marks the blocks the run is targeting: the D-frontier tries
 	// to keep propagation inside them (nil = no preference).
-	prefer map[int]bool
+	prefer blockSet
 
 	stats genStats
 }
@@ -157,11 +157,42 @@ type engineConfig struct {
 	excludePI map[int]bool                     // PI indexes never used as decisions (scan pins)
 	constPI   map[int]logic.V                  // PI indexes pinned to a constant (scan enable)
 	shiftPrev map[netlist.InstID]netlist.NetID // LOS: flop -> frame-1 source net
-	prefer    map[int]bool                     // blocks to keep fault propagation inside
+	prefer    blockSet                         // blocks to keep fault propagation inside
+}
+
+// blockSet marks floorplan blocks by index; nil is the empty set.
+type blockSet []bool
+
+// newBlockSet returns the set of blocks, or nil for a nil list.
+func newBlockSet(blocks []int) blockSet {
+	if blocks == nil {
+		return nil
+	}
+	n := 0
+	for _, b := range blocks {
+		n = max(n, b+1)
+	}
+	s := make(blockSet, n)
+	for _, b := range blocks {
+		if b >= 0 {
+			s[b] = true
+		}
+	}
+	return s
+}
+
+// has reports whether block b is in the set; top-level glue (NoBlock)
+// never is.
+func (s blockSet) has(b int) bool {
+	return b != netlist.NoBlock && b < len(s) && s[b]
 }
 
 func newEngine(d *netlist.Design, cfg engineConfig) (*engine, error) {
 	lv, err := d.Levels()
+	if err != nil {
+		return nil, err
+	}
+	fo, err := d.Fanout()
 	if err != nil {
 		return nil, err
 	}
@@ -172,15 +203,15 @@ func newEngine(d *netlist.Design, cfg engineConfig) (*engine, error) {
 		}
 	}
 	e := &engine{
-		d: d, dom: cfg.dom, mode: cfg.mode, levels: lv,
+		d: d, fo: fo, dom: cfg.dom, mode: cfg.mode, levels: lv,
 		val1:     make([]logic.V, d.NumNets()),
 		val2:     make([]logic.V, d.NumNets()),
 		valf:     make([]logic.V, d.NumNets()),
-		obsSeen:  make([]uint32, d.NumNets()),
-		xfer:     make(map[netlist.NetID][]netlist.InstID),
-		xferSrc:  make(map[netlist.InstID]netlist.NetID),
-		hold:     make(map[netlist.InstID]bool),
-		flopIdx:  make(map[netlist.InstID]int, len(d.Flops)),
+		xfer:     make([][]netlist.InstID, d.NumNets()),
+		xferSrc:  make([]netlist.NetID, d.NumInsts()),
+		hold:     make([]bool, d.NumInsts()),
+		flopIdx:  make([]int32, d.NumInsts()),
+		capture:  make([]bool, d.NumNets()),
 		piConst:  cfg.constPI,
 		maxLevel: ml,
 		limit:    cfg.limit,
@@ -189,12 +220,18 @@ func newEngine(d *netlist.Design, cfg engineConfig) (*engine, error) {
 	for i := range e.val1 {
 		e.val1[i], e.val2[i], e.valf[i] = logic.X, logic.X, logic.X
 	}
+	for i := range e.xferSrc {
+		e.xferSrc[i], e.flopIdx[i] = netlist.NoNet, -1
+	}
 	for i, f := range d.Flops {
-		e.flopIdx[f] = i
+		e.flopIdx[f] = int32(i)
 		inst := d.Inst(f)
 		if inst.Domain != cfg.dom {
 			e.hold[f] = true
 			continue
+		}
+		if d0 := inst.In[0]; d0 != netlist.NoNet {
+			e.capture[d0] = true
 		}
 		var src netlist.NetID
 		switch cfg.mode {
@@ -208,8 +245,10 @@ func newEngine(d *netlist.Design, cfg engineConfig) (*engine, error) {
 				continue
 			}
 		}
-		e.xfer[src] = append(e.xfer[src], f)
-		e.xferSrc[f] = src
+		if src != netlist.NoNet {
+			e.xfer[src] = append(e.xfer[src], f)
+			e.xferSrc[f] = src
+		}
 	}
 	e.decidablePI = make([]bool, len(d.PIs))
 	for i := range e.decidablePI {
@@ -262,16 +301,15 @@ func (e *engine) undoTo(mark int) {
 // --- event-driven two-frame propagation ----------------------------------
 
 func (e *engine) schedule1(n netlist.NetID) {
-	for _, ld := range e.d.Nets[n].Loads {
-		inst := &e.d.Insts[ld.Inst]
-		if inst.IsFlop() || e.q1[ld.Inst] {
+	for _, g := range e.fo.Loads(n) {
+		if e.q1[g] {
 			continue
 		}
-		e.q1[ld.Inst] = true
-		e.b1[e.levels[ld.Inst]] = append(e.b1[e.levels[ld.Inst]], ld.Inst)
+		e.q1[g] = true
+		e.b1[e.levels[g]] = append(e.b1[e.levels[g]], g)
 	}
 	// Frame boundary: flops fed from this net launch its value in frame 2.
-	if flops, ok := e.xfer[n]; ok {
+	if flops := e.xfer[n]; len(flops) > 0 {
 		v := e.val1[n]
 		for _, f := range flops {
 			e.set2both(e.d.Insts[f].Out, v)
@@ -280,13 +318,12 @@ func (e *engine) schedule1(n netlist.NetID) {
 }
 
 func (e *engine) schedule2(n netlist.NetID) {
-	for _, ld := range e.d.Nets[n].Loads {
-		inst := &e.d.Insts[ld.Inst]
-		if inst.IsFlop() || e.q2[ld.Inst] {
+	for _, g := range e.fo.Loads(n) {
+		if e.q2[g] {
 			continue
 		}
-		e.q2[ld.Inst] = true
-		e.b2[e.levels[ld.Inst]] = append(e.b2[e.levels[ld.Inst]], ld.Inst)
+		e.q2[g] = true
+		e.b2[e.levels[g]] = append(e.b2[e.levels[g]], g)
 	}
 }
 
@@ -421,23 +458,23 @@ func (e *engine) assignInput(in inputRef, v logic.V) {
 }
 
 // clone returns an engine for another generation worker: all construction
-// state that is read-only after newEngine (design, levels, transfer maps,
-// PI policies, block preferences) is shared, while every mutable search
-// structure (value arrays, trail, decision stack, buckets) is
-// private. Engines are stateless between faults (teardown restores all-X),
+// state that is read-only after newEngine (design, fanout view, levels,
+// transfer tables, PI policies, block preferences) is shared, while every
+// mutable search structure (value arrays, trail, decision stack, buckets,
+// cone marks) is private. Engines are stateless between faults (teardown restores all-X),
 // so a clone produces bit-identical cubes to its original for any
 // (fault, base) pair — the property the epoch scheduler rests on.
 func (e *engine) clone() *engine {
 	c := &engine{
-		d: e.d, dom: e.dom, mode: e.mode, levels: e.levels,
+		d: e.d, fo: e.fo, dom: e.dom, mode: e.mode, levels: e.levels,
 		val1:        make([]logic.V, len(e.val1)),
 		val2:        make([]logic.V, len(e.val2)),
 		valf:        make([]logic.V, len(e.valf)),
-		obsSeen:     make([]uint32, len(e.obsSeen)),
 		xfer:        e.xfer,
 		xferSrc:     e.xferSrc,
 		hold:        e.hold,
 		flopIdx:     e.flopIdx,
+		capture:     e.capture,
 		decidablePI: e.decidablePI,
 		piConst:     e.piConst,
 		maxLevel:    e.maxLevel,

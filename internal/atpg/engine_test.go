@@ -1,12 +1,14 @@
 package atpg
 
 import (
+	"sync"
 	"testing"
 
 	"scap/internal/cell"
 	"scap/internal/fault"
 	"scap/internal/logic"
 	"scap/internal/netlist"
+	"scap/internal/soc"
 )
 
 func TestEngineJustifiesAndTree(t *testing.T) {
@@ -79,5 +81,73 @@ func TestEngineJustifiesAndTree(t *testing.T) {
 	}
 	if _, disp := eng.generate(&fault.Fault{Net: n["hv"], Type: fault.STF}); disp != genUntestable {
 		t.Fatalf("STF hv disposition %v, want untestable", disp)
+	}
+}
+
+// TestEnginesConcurrentFirstAccess builds engines on one design from
+// several goroutines at once, so the first build of the design's levels
+// and fanout view is raced (run under -race), and checks that every
+// engine generates exactly the cubes of a serial engine.
+func TestEnginesConcurrentFirstAccess(t *testing.T) {
+	d, _, err := soc.Generate(soc.DefaultConfig(96))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A structural edit discards whatever derived structure Generate
+	// built, so the engines below are the first to access it. The
+	// dangling net is never read.
+	d.AddNet("spare")
+	l := fault.Universe(d)
+	subset := l.InDomain(0)
+	if len(subset) > 60 {
+		subset = subset[:60]
+	}
+	type outcome struct {
+		cube Cube
+		disp engineResult
+	}
+	run := func() ([]outcome, error) {
+		e, err := newEngine(d, engineConfig{dom: 0, limit: 64})
+		if err != nil {
+			return nil, err
+		}
+		out := make([]outcome, len(subset))
+		for i, fi := range subset {
+			out[i].cube, out[i].disp = e.generate(&l.Faults[fi])
+		}
+		return out, nil
+	}
+	const n = 4
+	got := make([][]outcome, n)
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var err error
+			if got[w], err = run(); err != nil {
+				t.Error(err)
+			}
+		}(w)
+	}
+	wg.Wait()
+	want, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	detected := 0
+	for i := range want {
+		if want[i].disp == genSuccess {
+			detected++
+		}
+		for w := 0; w < n; w++ {
+			if got[w][i].disp != want[i].disp || !cubeEqual(got[w][i].cube, want[i].cube) {
+				t.Fatalf("fault %d: worker %d got %v %s, serial %v %s", subset[i], w,
+					got[w][i].disp, cubeString(got[w][i].cube), want[i].disp, cubeString(want[i].cube))
+			}
+		}
+	}
+	if detected == 0 {
+		t.Fatal("no fault generated: the check exercises nothing")
 	}
 }

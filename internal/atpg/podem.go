@@ -19,36 +19,23 @@ func (e *engine) setupFault(f *fault.Fault) bool {
 	} else {
 		e.stuck = logic.One
 	}
-	cone, err := e.d.FanoutCone(f.Net)
-	if err != nil {
-		return false
-	}
-	e.cone = cone
+	// The cone walk is proportional to the cone and reuses the engine's
+	// buffers, so it runs allocation-free once per fault.
+	e.cone = e.fo.Cone(e.cone, f.Net, &e.marks)
+	e.stats.coneGates += int64(len(e.cone))
 
 	// Observable endpoints: D nets of target-domain flops fed by the site
-	// or by cone gates. Dedup via the engine's generation-stamped net
-	// marks: bumping the generation invalidates every stale stamp at once,
-	// so this runs allocation-free once per fault across the whole list.
+	// or by cone gates. These nets are distinct (each cone gate drives its
+	// own net, and the site cannot be driven from its own cone), so no
+	// dedup is needed.
 	e.obs = e.obs[:0]
-	e.obsGen++
-	if e.obsGen == 0 { // stamp wrapped: clear the slate once
-		for i := range e.obsSeen {
-			e.obsSeen[i] = 0
-		}
-		e.obsGen = 1
+	if e.capture[f.Net] {
+		e.obs = append(e.obs, f.Net)
 	}
-	addObsOf := func(n netlist.NetID) {
-		for _, ld := range e.d.Nets[n].Loads {
-			inst := &e.d.Insts[ld.Inst]
-			if inst.IsFlop() && ld.Pin == 0 && inst.Domain == e.dom && e.obsSeen[n] != e.obsGen {
-				e.obsSeen[n] = e.obsGen
-				e.obs = append(e.obs, n)
-			}
+	for _, g := range e.cone {
+		if n := e.d.Insts[g].Out; e.capture[n] {
+			e.obs = append(e.obs, n)
 		}
-	}
-	addObsOf(f.Net)
-	for _, g := range cone {
-		addObsOf(e.d.Insts[g].Out)
 	}
 	if len(e.obs) == 0 {
 		return false
@@ -143,7 +130,7 @@ func (e *engine) frontierObjective(preferredOnly bool) (objective, bool) {
 	for i := len(e.cone) - 1; i >= 0; i-- {
 		g := e.cone[i]
 		inst := &e.d.Insts[g]
-		if preferredOnly && !e.prefer[inst.Block] {
+		if preferredOnly && !e.prefer.has(inst.Block) {
 			continue
 		}
 		if e.diverged(inst.Out) {
@@ -304,17 +291,16 @@ func (e *engine) backtrace(obj objective) (inputRef, logic.V, bool) {
 		}
 		drv := net.Driver
 		inst := &e.d.Insts[drv]
-		if inst.IsFlop() {
-			fi := e.flopIdx[drv]
+		if fi := e.flopIdx[drv]; fi >= 0 {
 			if fr == frame1 || e.hold[drv] {
 				if e.val1[inst.Out] != logic.X {
 					return inputRef{}, 0, false
 				}
-				return inputRef{isPI: false, idx: fi}, v, true
+				return inputRef{isPI: false, idx: int(fi)}, v, true
 			}
 			// Frame-2 flop output: cross the frame boundary to its source.
-			src, ok := e.xferSrc[drv]
-			if !ok {
+			src := e.xferSrc[drv]
+			if src == netlist.NoNet {
 				return inputRef{}, 0, false
 			}
 			fr, n = frame1, src

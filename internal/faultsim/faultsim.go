@@ -58,6 +58,7 @@ func init() {
 type Sim struct {
 	s      *sim.Simulator
 	d      *netlist.Design
+	fo     *netlist.Fanout
 	levels []int32
 
 	// Workers fans DetectAll (and through it Drop and DetectionCounts)
@@ -101,6 +102,10 @@ func New(s *sim.Simulator) (*Sim, error) {
 	if err != nil {
 		return nil, fmt.Errorf("faultsim: %w", err)
 	}
+	fo, err := d.Fanout()
+	if err != nil {
+		return nil, fmt.Errorf("faultsim: %w", err)
+	}
 	ml := int32(0)
 	for _, l := range lv {
 		if l > ml {
@@ -108,7 +113,7 @@ func New(s *sim.Simulator) (*Sim, error) {
 		}
 	}
 	fs := &Sim{
-		s: s, d: d, levels: lv,
+		s: s, d: d, fo: fo, levels: lv,
 		fv:      make([]logic.Word, d.NumNets()),
 		touched: make([]bool, d.NumNets()),
 		queued:  make([]bool, d.NumInsts()),
@@ -137,7 +142,7 @@ func New(s *sim.Simulator) (*Sim, error) {
 // O(nets) for the scratch vectors and performs no per-flop analysis.
 func (fs *Sim) Clone() *Sim {
 	return &Sim{
-		s: fs.s, d: fs.d, levels: fs.levels,
+		s: fs.s, d: fs.d, fo: fs.fo, levels: fs.levels,
 		obsNets: fs.obsNets, isObs: fs.isObs, obsOwners: fs.obsOwners,
 		fv:      make([]logic.Word, fs.d.NumNets()),
 		touched: make([]bool, fs.d.NumNets()),
@@ -475,15 +480,13 @@ func (fs *Sim) setFaulty(n netlist.NetID, v logic.Word) {
 }
 
 func (fs *Sim) scheduleLoads(n netlist.NetID) {
-	d := fs.d
-	for _, ld := range d.Nets[n].Loads {
-		inst := &d.Insts[ld.Inst]
-		if inst.IsFlop() || fs.queued[ld.Inst] {
+	for _, g := range fs.fo.Loads(n) {
+		if fs.queued[g] {
 			continue
 		}
-		fs.queued[ld.Inst] = true
-		lv := fs.levels[ld.Inst]
-		fs.buckets[lv] = append(fs.buckets[lv], ld.Inst)
+		fs.queued[g] = true
+		lv := fs.levels[g]
+		fs.buckets[lv] = append(fs.buckets[lv], g)
 	}
 }
 

@@ -10,6 +10,7 @@ package netlist
 
 import (
 	"fmt"
+	"sync"
 
 	"scap/internal/cell"
 )
@@ -93,8 +94,12 @@ type Design struct {
 	BlockNames []string
 	Domains    []DomainInfo
 
-	topo   []InstID // cached combinational topological order
-	levels []int32  // cached per-instance level (flop/PI sources at 0)
+	// Derived structure, built together on first use (see derive) and
+	// discarded by every structural edit.
+	once      sync.Once
+	fanout    *Fanout // combinational-fanout view, with the topo order
+	levels    []int32 // per-instance level (flops at 0)
+	deriveErr error   // combinational-cycle error, if any
 }
 
 // New creates an empty design using lib.
@@ -219,6 +224,6 @@ func (d *Design) BlockName(b int) string {
 }
 
 func (d *Design) invalidate() {
-	d.topo = nil
-	d.levels = nil
+	d.once = sync.Once{}
+	d.fanout, d.levels, d.deriveErr = nil, nil, nil
 }

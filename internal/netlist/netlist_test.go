@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"slices"
 	"testing"
 
 	"scap/internal/cell"
@@ -141,49 +142,178 @@ func TestDoubleDrivePanics(t *testing.T) {
 	d.AddInst("g", cell.Inv, []NetID{a}, a, 0)
 }
 
-func TestFanoutCone(t *testing.T) {
-	d := buildToy(t)
-	// Cone from n1 (g1 output) should include g2 and g3 but not g1.
-	n1 := NetID(-1)
-	for i := range d.Nets {
-		if d.Nets[i].Name == "n1" {
-			n1 = d.Nets[i].ID
+// FanoutConeScan is the reference for Fanout.Cone: the full-design walk
+// that scans the whole topological order with per-net "reached" marks.
+// It is exported from this test file for the external test package,
+// which runs it against Fanout.Cone on a generated SOC.
+func FanoutConeScan(d *Design, start NetID) []InstID {
+	order, err := d.TopoOrder()
+	if err != nil {
+		panic(err)
+	}
+	netIn := make([]bool, len(d.Nets))
+	netIn[start] = true
+	var cone []InstID
+	for _, id := range order {
+		inst := &d.Insts[id]
+		if inst.IsFlop() {
+			continue
+		}
+		for _, in := range inst.In {
+			if in != NoNet && netIn[in] {
+				netIn[inst.Out] = true
+				cone = append(cone, id)
+				break
+			}
 		}
 	}
-	cone, err := d.FanoutCone(n1)
+	return cone
+}
+
+// CheckFanoutView checks d's fanout view against the netlist itself:
+// every CSR row must equal the net's Loads with flop loads dropped, in
+// order, every net's cone must equal FanoutConeScan's, and the levels
+// pushed along the view must equal the fanin definition. It is exported
+// for the external test package.
+func CheckFanoutView(t *testing.T, d *Design) {
+	t.Helper()
+	fo, err := d.Fanout()
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := map[string]bool{}
-	for _, id := range cone {
-		names[d.Inst(id).Name] = true
+	lv, err := d.Levels()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !names["g2"] || !names["g3"] || names["g1"] || len(names) != 2 {
-		t.Fatalf("cone = %v", names)
+	order, _ := d.TopoOrder()
+	for _, id := range order {
+		want := int32(0)
+		if inst := &d.Insts[id]; !inst.IsFlop() {
+			for _, in := range inst.In {
+				if in == NoNet {
+					continue
+				}
+				if drv := d.Nets[in].Driver; drv != NoInst && !d.Insts[drv].IsFlop() {
+					want = max(want, lv[drv])
+				}
+			}
+			want++
+		}
+		if lv[id] != want {
+			t.Fatalf("instance %s: level %d, fanin definition %d", d.Insts[id].Name, lv[id], want)
+		}
+	}
+	var m ConeMarks
+	var cone []InstID
+	for n := range d.Nets {
+		var want []InstID
+		for _, ld := range d.Nets[n].Loads {
+			if !d.Insts[ld.Inst].IsFlop() {
+				want = append(want, ld.Inst)
+			}
+		}
+		if got := fo.Loads(NetID(n)); !slices.Equal(got, want) {
+			t.Fatalf("net %s: CSR row %v, flop-filtered loads %v", d.Nets[n].Name, got, want)
+		}
+		cone = fo.Cone(cone, NetID(n), &m)
+		if want := FanoutConeScan(d, NetID(n)); !slices.Equal(cone, want) {
+			t.Fatalf("net %s: cone %v, topo-scan oracle %v", d.Nets[n].Name, cone, want)
+		}
 	}
 }
 
-func TestFaninCone(t *testing.T) {
-	d := buildToy(t)
-	var n3 NetID
+func netByName(t *testing.T, d *Design, name string) NetID {
+	t.Helper()
 	for i := range d.Nets {
-		if d.Nets[i].Name == "n3" {
-			n3 = d.Nets[i].ID
+		if d.Nets[i].Name == name {
+			return NetID(i)
 		}
 	}
-	cone := d.FaninCone(n3)
-	names := map[string]bool{}
+	t.Fatalf("no net %s", name)
+	return NoNet
+}
+
+func TestFanoutCone(t *testing.T) {
+	d := buildToy(t)
+	fo, err := d.Fanout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cone from n1 (g1 output) should include g2 and g3 but not g1.
+	cone := fo.Cone(nil, netByName(t, d, "n1"), &ConeMarks{})
+	var names []string
 	for _, id := range cone {
-		names[d.Inst(id).Name] = true
+		names = append(names, d.Inst(id).Name)
 	}
-	// g3 <- g2 <- {g1, PI b}; g1 <- {PI a, f1}
-	for _, want := range []string{"g3", "g2", "g1", "f1"} {
-		if !names[want] {
-			t.Fatalf("fanin cone missing %s: %v", want, names)
+	if !slices.Equal(names, []string{"g2", "g3"}) {
+		t.Fatalf("cone = %v", names)
+	}
+	CheckFanoutView(t, d)
+}
+
+// TestFanoutRebuiltAfterEdits checks that every structural edit discards
+// the cached view and the next access sees the edited netlist.
+func TestFanoutRebuiltAfterEdits(t *testing.T) {
+	d := buildToy(t)
+	n1, n2, n3 := netByName(t, d, "n1"), netByName(t, d, "n2"), netByName(t, d, "n3")
+	view := func() *Fanout {
+		t.Helper()
+		fo, err := d.Fanout()
+		if err != nil {
+			t.Fatal(err)
+		}
+		CheckFanoutView(t, d)
+		return fo
+	}
+	coneNames := func(fo *Fanout, n NetID) []string {
+		var names []string
+		for _, id := range fo.Cone(nil, n, &ConeMarks{}) {
+			names = append(names, d.Inst(id).Name)
+		}
+		return names
+	}
+	fo := view()
+
+	// AddInst: a new gate on n3 joins n1's cone.
+	n4 := d.AddNet("n4")
+	d.AddInst("g4", cell.Inv, []NetID{n3}, n4, 0)
+	if next := view(); next == fo {
+		t.Fatal("AddInst kept the stale view")
+	} else {
+		fo = next
+	}
+	if got := coneNames(fo, n1); !slices.Equal(got, []string{"g2", "g3", "g4"}) {
+		t.Fatalf("cone after AddInst = %v", got)
+	}
+
+	// SetInput: moving g3 off n2 cuts g3 and g4 out of n1's cone.
+	b := netByName(t, d, "b")
+	var g3 InstID
+	for i := range d.Insts {
+		if d.Insts[i].Name == "g3" {
+			g3 = InstID(i)
 		}
 	}
-	if names["f2"] {
-		t.Fatal("f2 should not be in fanin of n3")
+	d.SetInput(g3, 0, b)
+	if next := view(); next == fo {
+		t.Fatal("SetInput kept the stale view")
+	} else {
+		fo = next
+	}
+	if got := coneNames(fo, n1); !slices.Equal(got, []string{"g2"}) {
+		t.Fatalf("cone after SetInput = %v", got)
+	}
+	if got := fo.Loads(n2); len(got) != 0 {
+		t.Fatalf("n2 still has combinational loads %v", got)
+	}
+
+	// ConvertToScan: the scan pins are flop loads, so the rows stay
+	// combinational-only, but the view is rebuilt.
+	si, se := d.AddPI("si"), d.AddPI("se")
+	fo = view()
+	d.ConvertToScan(d.Flops[0], si, se)
+	if next := view(); next == fo {
+		t.Fatal("ConvertToScan kept the stale view")
 	}
 }
 

@@ -2,6 +2,27 @@ package netlist
 
 import "fmt"
 
+// derive builds the design's derived structure — the combinational-fanout
+// view, the topological order it carries and the per-instance levels —
+// once per design revision, under a sync.Once so concurrent first callers
+// share one build. Any structural edit discards it (see invalidate).
+func (d *Design) derive() error {
+	d.once.Do(func() {
+		fo := buildFanout(d)
+		order, err := d.topoSort(fo)
+		if err != nil {
+			d.deriveErr = err
+			return
+		}
+		fo.order = order
+		for p, id := range order {
+			fo.pos[id] = int32(p)
+		}
+		d.fanout, d.levels = fo, d.levelize(fo)
+	})
+	return d.deriveErr
+}
+
 // TopoOrder returns the combinational instances of the design in a
 // topological order: an instance appears after every combinational instance
 // that drives one of its inputs. Flop outputs and primary inputs are
@@ -9,24 +30,23 @@ import "fmt"
 // SI / SE inputs are consumed by the capture step, not by propagation).
 // It returns an error if the combinational logic contains a cycle.
 func (d *Design) TopoOrder() ([]InstID, error) {
-	if d.topo != nil {
-		return d.topo, nil
+	if err := d.derive(); err != nil {
+		return nil, err
 	}
+	return d.fanout.order, nil
+}
+
+// topoSort orders the combinational instances by Kahn's algorithm over the
+// fanout view, then appends the flops.
+func (d *Design) topoSort(fo *Fanout) ([]InstID, error) {
 	n := len(d.Insts)
 	indeg := make([]int32, n)
 	for i := range d.Insts {
-		inst := &d.Insts[i]
-		if inst.IsFlop() {
+		if d.Insts[i].IsFlop() {
 			continue // flops break the cycle; handled after comb logic
 		}
-		for _, in := range inst.In {
-			if in == NoNet {
-				continue
-			}
-			drv := d.Nets[in].Driver
-			if drv != NoInst && !d.Insts[drv].IsFlop() {
-				indeg[i]++
-			}
+		for _, ld := range fo.Loads(fo.out[i]) {
+			indeg[ld]++
 		}
 	}
 	order := make([]InstID, 0, n)
@@ -40,11 +60,7 @@ func (d *Design) TopoOrder() ([]InstID, error) {
 		id := queue[0]
 		queue = queue[1:]
 		order = append(order, id)
-		for _, p := range d.Nets[d.Insts[id].Out].Loads {
-			li := p.Inst
-			if d.Insts[li].IsFlop() {
-				continue
-			}
+		for _, li := range fo.Loads(fo.out[id]) {
 			indeg[li]--
 			if indeg[li] == 0 {
 				queue = append(queue, li)
@@ -55,11 +71,7 @@ func (d *Design) TopoOrder() ([]InstID, error) {
 		return nil, fmt.Errorf("netlist: combinational cycle detected (%d of %d gates ordered)",
 			len(order), d.NumGates())
 	}
-	for _, f := range d.Flops {
-		order = append(order, f)
-	}
-	d.topo = order
-	return order, nil
+	return append(order, d.Flops...), nil
 }
 
 // Levels returns the per-instance logic level: sources (instances fed only
@@ -67,34 +79,30 @@ func (d *Design) TopoOrder() ([]InstID, error) {
 // instance is one more than its deepest combinational fanin. Flops are
 // level 0. The result is indexed by InstID.
 func (d *Design) Levels() ([]int32, error) {
-	if d.levels != nil {
-		return d.levels, nil
-	}
-	order, err := d.TopoOrder()
-	if err != nil {
+	if err := d.derive(); err != nil {
 		return nil, err
 	}
+	return d.levels, nil
+}
+
+// levelize pushes levels forward along the fanout view in topological
+// order: a combinational instance starts at 1 and ends one above its
+// deepest combinational driver; flops stay at 0.
+func (d *Design) levelize(fo *Fanout) []int32 {
 	lv := make([]int32, len(d.Insts))
-	for _, id := range order {
-		inst := &d.Insts[id]
-		if inst.IsFlop() {
-			lv[id] = 0
-			continue
-		}
-		max := int32(0)
-		for _, in := range inst.In {
-			if in == NoNet {
-				continue
-			}
-			drv := d.Nets[in].Driver
-			if drv != NoInst && !d.Insts[drv].IsFlop() && lv[drv] > max {
-				max = lv[drv]
-			}
-		}
-		lv[id] = max + 1
+	comb := fo.order[:d.NumGates()]
+	for _, id := range comb {
+		lv[id] = 1
 	}
-	d.levels = lv
-	return lv, nil
+	for _, id := range comb {
+		next := lv[id] + 1
+		for _, g := range fo.Loads(fo.out[id]) {
+			if lv[g] < next {
+				lv[g] = next
+			}
+		}
+	}
+	return lv
 }
 
 // MaxLevel returns the deepest combinational level in the design.
@@ -110,70 +118,4 @@ func (d *Design) MaxLevel() (int32, error) {
 		}
 	}
 	return max, nil
-}
-
-// FanoutCone returns the set of combinational instances reachable from net
-// start through combinational logic (flops stop propagation), in
-// topological order relative to the design's TopoOrder.
-func (d *Design) FanoutCone(start NetID) ([]InstID, error) {
-	order, err := d.TopoOrder()
-	if err != nil {
-		return nil, err
-	}
-	inCone := make([]bool, len(d.Insts))
-	netIn := make([]bool, len(d.Nets))
-	netIn[start] = true
-	cone := make([]InstID, 0, 64)
-	for _, id := range order {
-		inst := &d.Insts[id]
-		if inst.IsFlop() {
-			continue
-		}
-		hit := false
-		for _, in := range inst.In {
-			if in != NoNet && netIn[in] {
-				hit = true
-				break
-			}
-		}
-		if hit {
-			inCone[id] = true
-			netIn[inst.Out] = true
-			cone = append(cone, id)
-		}
-	}
-	return cone, nil
-}
-
-// FaninCone returns the set of instances (combinational gates and the flops
-// or primary inputs at the frontier) in the transitive fanin of net start.
-// Flops are included but not traversed through.
-func (d *Design) FaninCone(start NetID) []InstID {
-	seenInst := make(map[InstID]bool)
-	seenNet := make(map[NetID]bool)
-	var cone []InstID
-	stack := []NetID{start}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seenNet[n] {
-			continue
-		}
-		seenNet[n] = true
-		drv := d.Nets[n].Driver
-		if drv == NoInst || seenInst[drv] {
-			continue
-		}
-		seenInst[drv] = true
-		cone = append(cone, drv)
-		if d.Insts[drv].IsFlop() {
-			continue
-		}
-		for _, in := range d.Insts[drv].In {
-			if in != NoNet {
-				stack = append(stack, in)
-			}
-		}
-	}
-	return cone
 }

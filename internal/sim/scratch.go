@@ -231,19 +231,17 @@ func (ls *LaunchScratch) settle(v1, pis []logic.V) {
 }
 
 // seedLoads marks every combinational load of net n dirty, appending
-// it to its level's bucket. Flop loads are skipped: flop inputs do not
-// feed back combinationally, and the launch state v1/v2 is supplied by
-// the caller, not captured here.
+// it to its level's bucket. The fanout view already omits flop loads:
+// flop inputs do not feed back combinationally, and the launch state
+// v1/v2 is supplied by the caller, not captured here.
 func (ls *LaunchScratch) seedLoads(n netlist.NetID) {
 	lvl, gen, instGen := ls.s.level, ls.gen, ls.instGen
-	for _, ld := range ls.s.d.Nets[n].Loads {
-		id := ld.Inst
-		l := lvl[id]
-		if l < 0 || instGen[id] == gen {
+	for _, id := range ls.s.fo.Loads(n) {
+		if instGen[id] == gen {
 			continue
 		}
 		instGen[id] = gen
-		ls.buckets[l] = append(ls.buckets[l], id)
+		ls.buckets[lvl[id]] = append(ls.buckets[lvl[id]], id)
 	}
 }
 

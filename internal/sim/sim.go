@@ -21,9 +21,8 @@ import (
 // order. It is stateless; callers own the net-value vectors.
 type Simulator struct {
 	d     *netlist.Design
+	fo    *netlist.Fanout
 	order []netlist.InstID // combinational instances only, topo order
-	// flopIndex maps an InstID to its position in d.Flops.
-	flopIndex map[netlist.InstID]int
 	// level[inst] is the gate's logic level — 1 + the max level of its
 	// combinational driver instances, 0 when every input comes from a
 	// flop, a PI, or an undriven net; -1 for flops. Levels are strictly
@@ -46,10 +45,11 @@ func New(d *netlist.Design) (*Simulator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
-	s := &Simulator{
-		d:         d,
-		flopIndex: make(map[netlist.InstID]int, len(d.Flops)),
+	fo, err := d.Fanout()
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
 	}
+	s := &Simulator{d: d, fo: fo}
 	for _, id := range full {
 		if !d.Inst(id).IsFlop() {
 			s.order = append(s.order, id)
@@ -80,7 +80,6 @@ func New(d *netlist.Design) (*Simulator, error) {
 		s.flopSlot[i] = -1
 	}
 	for i, f := range d.Flops {
-		s.flopIndex[f] = i
 		s.flopSlot[f] = int32(i)
 	}
 	return s, nil
@@ -88,9 +87,6 @@ func New(d *netlist.Design) (*Simulator, error) {
 
 // Design returns the simulated design.
 func (s *Simulator) Design() *netlist.Design { return s.d }
-
-// FlopIndex returns the position of flop f in the design's flop list.
-func (s *Simulator) FlopIndex(f netlist.InstID) int { return s.flopIndex[f] }
 
 // NewNets returns a fresh all-X net-value vector.
 func (s *Simulator) NewNets() []logic.V {
