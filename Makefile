@@ -25,7 +25,7 @@ bench:
 # then the timing-simulation benchmarks into BENCH_sim.json (ns/op, B/op,
 # allocs/op and extra metrics per benchmark) so regressions are comparable
 # across PRs. The GridScale sweep (solve time vs node count per solver
-# tier, n=32..2048, with grid_nodes and per-solve work counters as extra
+# tier, n=32..512, with grid_nodes and per-solve work counters as extra
 # metrics) runs each point for at least 200 ms, so fast points average
 # many solves while the slowest sizes still run a single one, and lands
 # in the same BENCH_pgrid.json.

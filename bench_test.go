@@ -404,8 +404,8 @@ func benchProfilePatterns(b *testing.B, workers int) {
 func BenchmarkProfilePatternsSerial(b *testing.B)   { benchProfilePatterns(b, 1) }
 func BenchmarkProfilePatternsParallel(b *testing.B) { benchProfilePatterns(b, 0) }
 
-// BenchmarkDynamicIRDropAll measures the batched warm-started pipeline
-// over the whole conventional flow (serial vs all cores).
+// BenchmarkDynamicIRDropAll measures the batched pipeline over the
+// whole conventional flow (serial vs all cores).
 func BenchmarkDynamicIRDropAll(b *testing.B) {
 	r := benchRunner(b)
 	conv, _, err := r.Conventional()
@@ -425,15 +425,9 @@ func BenchmarkDynamicIRDropAll(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sums, err := sys.DynamicIRDropAll(conv, core.ModelSCAP)
-				if err != nil {
+				if _, err := sys.DynamicIRDropAll(conv, core.ModelSCAP); err != nil {
 					b.Fatal(err)
 				}
-				iters := 0
-				for j := range sums {
-					iters += sums[j].IterVDD
-				}
-				b.ReportMetric(float64(iters)/float64(len(sums)), "sweeps/pattern")
 			}
 		})
 	}
@@ -578,9 +572,8 @@ var gridScaleCache = struct {
 // gridScaleGrid returns the cached n×n grid and pgrid.BatchWidth
 // distinct deterministic scattered injections (~1% of nodes carrying a
 // few mA each, the spatial shape per-pattern switching currents take).
-// injs[0] is the injection every single-RHS tier solves; the warm tiers
-// start from the solution of injs[1], a different pattern, as the
-// per-pattern pipeline does.
+// injs[0] is the injection every single-RHS tier solves; the warm tier
+// starts from the solution of injs[1], a different pattern.
 func gridScaleGrid(b *testing.B, n int) (*pgrid.Grid, [][]float64) {
 	b.Helper()
 	gridScaleCache.Lock()
@@ -608,30 +601,18 @@ func gridScaleGrid(b *testing.B, n int) (*pgrid.Grid, [][]float64) {
 	return g, injs
 }
 
-// BenchmarkGridScale is the asymptotic-crossover sweep behind the
-// sparse and multigrid solver tiers (DESIGN.md "Solver hierarchy"):
-// per-pattern solve time versus node count for each tier, n=32 through
-// 2048 (4.2M nodes). The banded tier stops at n=256 — at n=512 its
-// factor alone stores nn·bw ≈ 1 GB and costs O(N·bw²) ≈ 7e10 flops —
-// SOR stops at n=128, and the sparse tiers at n=512, where the factor
-// build already dominates; only the factor-free multigrid tiers run the
-// full range. sparse-batch solves pgrid.BatchWidth distinct injections
-// per op in one batched pass and reports ns/rhs, the per-pattern cost
-// the batched IR-drop pipeline pays. mg cold-starts every solve;
-// mg-warm and sor-warm warm-start from the converged solution of a
-// different injection, the per-pattern pipeline's regime. The name
+// BenchmarkGridScale is the scaling sweep behind the solver hierarchy
+// (DESIGN.md "Solver hierarchy"): per-pattern solve time versus node
+// count for each tier, n=32 through 512 (262k nodes). The banded tier
+// stops at n=256 — at n=512 its factor alone stores nn·bw ≈ 1 GB and
+// costs O(N·bw²) ≈ 7e10 flops — and SOR stops at n=128. sparse-batch
+// solves pgrid.BatchWidth distinct injections per op in one batched
+// pass and reports ns/rhs, the per-pattern cost the batched IR-drop
+// pipeline pays. sor-warm warm-starts from the solution of a different
+// injection, the per-pattern regime of an iterative solver. The name
 // deliberately avoids the 'Solve|Factor' bench-json regex so the timed
 // bench-json pass doesn't run the sweep twice.
 func BenchmarkGridScale(b *testing.B) {
-	// warmFrom solves the second injection cold and returns its drops:
-	// the warm tiers' starting guess for the first.
-	warmFrom := func(b *testing.B, g *pgrid.Grid, injs [][]float64, scratch *pgrid.SolveScratch) []float64 {
-		base, err := g.SolveMultigrid(injs[1], nil, nil, scratch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return base.Drop
-	}
 	tiers := []struct {
 		name  string
 		maxN  int
@@ -693,8 +674,11 @@ func BenchmarkGridScale(b *testing.B) {
 			}
 		}},
 		{"sor-warm", 128, func(b *testing.B, g *pgrid.Grid, injs [][]float64) {
-			var scratch pgrid.SolveScratch
-			warm := warmFrom(b, g, injs, &scratch)
+			base, err := g.SolveSparse(injs[1], nil, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			warm := base.Drop
 			sol, err := g.SolveWarm(injs[0], warm, nil) // allocate the Solution
 			if err != nil {
 				b.Fatal(err)
@@ -709,45 +693,8 @@ func BenchmarkGridScale(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(sol.Iterations), "sweeps/solve")
 		}},
-		{"mg", 2048, func(b *testing.B, g *pgrid.Grid, injs [][]float64) {
-			if _, err := g.MG(); err != nil {
-				b.Fatal(err)
-			}
-			var sol *pgrid.Solution
-			var scratch pgrid.SolveScratch
-			var err error
-			if sol, err = g.SolveMultigrid(injs[0], nil, sol, &scratch); err != nil { // warm the scratch
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if sol, err = g.SolveMultigrid(injs[0], nil, sol, &scratch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(sol.Iterations), "vcycles/solve")
-		}},
-		{"mg-warm", 2048, func(b *testing.B, g *pgrid.Grid, injs [][]float64) {
-			var scratch pgrid.SolveScratch
-			warm := warmFrom(b, g, injs, &scratch)
-			sol, err := g.SolveMultigrid(injs[0], warm, nil, &scratch) // allocate the Solution
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if sol, err = g.SolveMultigrid(injs[0], warm, sol, &scratch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(sol.Iterations), "vcycles/solve")
-		}},
 	}
-	for _, n := range []int{32, 64, 128, 256, 512, 1024, 2048} {
+	for _, n := range []int{32, 64, 128, 256, 512} {
 		for _, tier := range tiers {
 			if n > tier.maxN {
 				continue

@@ -38,7 +38,7 @@ func (m PowerModel) String() string {
 // nanovolts). Solved drops are exact deterministic products of the
 // pattern, so the table is bit-identical for any worker count.
 var tkIRDrop = obs.NewTopK("core.irdrop_hotspots", 16, "drop_nv",
-	"vdd_mv", "vss_mv", "stw_ns", "iter_vdd", "iter_vss")
+	"vdd_mv", "vss_mv", "stw_ns")
 
 // DynamicIR is one pattern's dynamic IR-drop analysis.
 type DynamicIR struct {
@@ -102,19 +102,17 @@ func (sys *System) dynamicIRDrop(ps *profScratch, p *atpg.Pattern, dom int, mode
 
 // IRDropSummary is one pattern's result from the batched dynamic
 // analysis: the worst node drop per block (chip entry at index
-// NumBlocks) on each rail, volts, plus the solver iterations that
-// produced it (multigrid V-cycles; 1 for a direct solve).
+// NumBlocks) on each rail, volts.
 // The full node-by-node maps of DynamicIR are deliberately not kept —
 // screening a whole pattern set only consumes the per-block extremes,
 // and dropping the maps is what lets each worker recycle its solver
 // buffers.
 type IRDropSummary struct {
-	Index            int
-	Model            PowerModel
-	STW              float64
-	WorstVDD         []float64
-	WorstVSS         []float64
-	IterVDD, IterVSS int
+	Index    int
+	Model    PowerModel
+	STW      float64
+	WorstVDD []float64
+	WorstVSS []float64
 }
 
 // irScratch is one worker's solver state for DynamicIRDropAll: a
@@ -133,13 +131,13 @@ type irScratch struct {
 // launches each pattern of its chunk, builds its VDD and VSS injections,
 // then solves each rail for the whole chunk at once. Chunks are
 // pgrid.BatchWidth patterns wide under the sparse solver and one pattern
-// wide under the tiers without a batched kernel.
+// wide under the banded tier, which has no batched kernel.
 //
-// Under the default sparse solver each rail solve is one batched pass
-// over the grid's shared read-only factorization, and every pattern's
-// answer is bit-identical to its lone solve, so results are identical
-// for any worker count by construction; the banded and multigrid tiers
-// solve the chunk's patterns one by one, each from a cold start.
+// Under the sparse solver each rail solve is one batched pass over the
+// grid's shared read-only factorization, and every pattern's answer is
+// bit-identical to its lone solve, so results are identical for any
+// worker count by construction; the banded tier solves the chunk's
+// patterns one by one against its own shared factorization.
 func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropSummary, error) {
 	defer obs.StartSpan("dynamic-irdrop-all").End()
 	n := len(fr.Patterns)
@@ -180,21 +178,20 @@ func (sys *System) DynamicIRDropAll(fr *FlowResult, model PowerModel) ([]IRDropS
 			sc.cur = power.InstCurrentsInto(sc.cur, sys.D, ps.meter.RawInstEnergyVSS(), window)
 			sc.injVSS[k] = sys.GridVSS.InjectInstCurrentsInto(sc.injVSS[k], sys.D, sc.cur)
 		}
-		if err := sys.solveRail(sys.GridVDD, sc.injVDD[:lanes], nil, sc.solVDD[:lanes], &sc.fs); err != nil {
+		if err := sys.solveRail(sys.GridVDD, sc.injVDD[:lanes], sc.solVDD[:lanes], &sc.fs); err != nil {
 			return fmt.Errorf("core: dynamic solve patterns %d-%d: %w", lo, hi-1, err)
 		}
-		if err := sys.solveRail(sys.GridVSS, sc.injVSS[:lanes], nil, sc.solVSS[:lanes], &sc.fs); err != nil {
+		if err := sys.solveRail(sys.GridVSS, sc.injVSS[:lanes], sc.solVSS[:lanes], &sc.fs); err != nil {
 			return fmt.Errorf("core: dynamic solve patterns %d-%d: %w", lo, hi-1, err)
 		}
 		for k := 0; k < lanes; k++ {
 			i := lo + k
-			sum, vddSol, vssSol := &out[i], sc.solVDD[k], sc.solVSS[k]
-			sum.WorstVDD = vddSol.WorstPerBlock(sys.GridVDD, nb)
-			sum.WorstVSS = vssSol.WorstPerBlock(sys.GridVSS, nb)
-			sum.IterVDD, sum.IterVSS = vddSol.Iterations, vssSol.Iterations
+			sum := &out[i]
+			sum.WorstVDD = sc.solVDD[k].WorstPerBlock(sys.GridVDD, nb)
+			sum.WorstVSS = sc.solVSS[k].WorstPerBlock(sys.GridVSS, nb)
 			vdd, vss := sum.WorstVDD[nb], sum.WorstVSS[nb]
 			tkIRDrop.Record(int64(i), int64(math.Round((vdd+vss)*1e9)), model.String(),
-				vdd*1e3, vss*1e3, sum.STW, float64(sum.IterVDD), float64(sum.IterVSS))
+				vdd*1e3, vss*1e3, sum.STW)
 		}
 		return nil
 	}

@@ -121,10 +121,6 @@ type MCResult struct {
 	// MeanVDD, P95VDD and MaxVDD hold the per-block (+chip, index
 	// NumBlocks) statistics of the worst VDD-rail node drop, volts.
 	MeanVDD, P95VDD, MaxVDD []float64
-	// MeanIters is the mean solver iteration count per trial: 1 under
-	// the direct solvers (every trial is exact), and under multigrid the
-	// warm-started V-cycle count.
-	MeanIters float64
 }
 
 // MonteCarloIRDrop runs the Monte-Carlo loop over the Case-2 (half
@@ -132,8 +128,8 @@ type MCResult struct {
 // sys.Workers workers in chunks of consecutive trials (pgrid.BatchWidth
 // under the sparse solver, one otherwise); each trial seeds its own PRNG
 // from (seed, trial), and each chunk is one batched solve against the
-// shared read-only factorization (or, under the other tiers, one solve,
-// warm-started from the shared deterministic baseline under multigrid), so the result is identical for any worker count.
+// shared read-only factorization (one solve per trial under the banded
+// tier), so the result is identical for any worker count.
 func (sys *System) MonteCarloIRDrop(trials int, seed int64) (*MCResult, error) {
 	defer obs.StartSpan("monte-carlo-irdrop").End()
 	if trials <= 0 {
@@ -150,24 +146,9 @@ func (sys *System) MonteCarloIRDrop(trials int, seed int64) (*MCResult, error) {
 		fullCur[i] = d.LoadCap(netlist.InstID(i)) * d.Lib.VDD / window * 1e-3
 	}
 
-	// Deterministic warm-start baseline for the multigrid tier: the
-	// expected injection (the Case-2 VDD solve of the Statistical
-	// analysis), solved by multigrid itself. The direct paths need no
-	// guess — every trial is an exact solve against the shared
-	// factorization.
+	// Every trial is an exact solve against the shared factorization.
 	g := sys.GridVDD
-	var warm []float64
-	if sys.Solver == SolverMG {
-		exp := power.StatCurrents(d, prob, window)
-		for i := range exp {
-			exp[i] /= 2
-		}
-		base, err := sys.solveRailOne(g, g.InjectInstCurrents(d, exp))
-		if err != nil {
-			return nil, fmt.Errorf("core: MC baseline: %w", err)
-		}
-		warm = base.Drop
-	} else if err := sys.prefactor(g); err != nil {
+	if err := sys.prefactor(g); err != nil {
 		return nil, fmt.Errorf("core: MC factorization: %w", err)
 	}
 
@@ -187,7 +168,6 @@ func (sys *System) MonteCarloIRDrop(trials int, seed int64) (*MCResult, error) {
 	}
 	scratch := make([]mcScratch, workers)
 	perTrial := make([][]float64, trials)
-	iters := make([]int, trials)
 	err := parallel.For(workers, chunks, func(w, c int) error {
 		sc := &scratch[w]
 		if sc.cur == nil {
@@ -207,13 +187,11 @@ func (sys *System) MonteCarloIRDrop(trials int, seed int64) (*MCResult, error) {
 			sc.inj[t-lo] = g.InjectInstCurrentsInto(sc.inj[t-lo], d, sc.cur)
 		}
 		lanes := hi - lo
-		if err := sys.solveRail(g, sc.inj[:lanes], warm, sc.sol[:lanes], &sc.fs); err != nil {
+		if err := sys.solveRail(g, sc.inj[:lanes], sc.sol[:lanes], &sc.fs); err != nil {
 			return fmt.Errorf("core: MC trials %d-%d: %w", lo, hi-1, err)
 		}
 		for t := lo; t < hi; t++ {
-			sol := sc.sol[t-lo]
-			perTrial[t] = sol.WorstPerBlock(g, d.NumBlocks)
-			iters[t] = sol.Iterations
+			perTrial[t] = sc.sol[t-lo].WorstPerBlock(g, d.NumBlocks)
 		}
 		return nil
 	})
@@ -246,9 +224,5 @@ func (sys *System) MonteCarloIRDrop(trials int, seed int64) (*MCResult, error) {
 		}
 		res.P95VDD[b] = vals[idx]
 	}
-	for _, it := range iters {
-		res.MeanIters += float64(it)
-	}
-	res.MeanIters /= float64(trials)
 	return res, nil
 }

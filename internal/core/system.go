@@ -61,15 +61,6 @@ type Config struct {
 	// for any value — workers only own scratch state and write
 	// index-addressed outputs.
 	Workers int
-
-	// Solver picks the power-grid solve path: the sparse LDLᵀ under a
-	// nested-dissection ordering (SolverSparse, the default), the cached
-	// banded-LDLᵀ factorization (SolverFactored), geometric multigrid
-	// (SolverMG), or SolverAuto,
-	// which Build resolves from the mesh node count. Grid calibration
-	// always uses the exact sparse solve, so the built grids are
-	// identical across choices.
-	Solver Solver
 }
 
 // DefaultConfig returns the full experiment configuration at the given SOC
@@ -86,7 +77,6 @@ func DefaultConfig(scale int) Config {
 		GridCalibTargetV: 0.11,
 		BacktrackLimit:   64,
 		Seed:             1,
-		Solver:           SolverSparse,
 	}
 }
 
@@ -113,7 +103,9 @@ type System struct {
 	// (0 = all cores, 1 = exact serial path).
 	Workers int
 
-	// Solver mirrors Config.Solver and may be changed between calls.
+	// Solver is the power-grid solve path: Build sets SolverSparse, and
+	// a caller may switch to SolverFactored between calls to re-solve
+	// against the independent banded tier.
 	Solver Solver
 }
 
@@ -151,11 +143,8 @@ func Build(cfg Config) (*System, error) {
 		Delays:  sdf.Compute(d),
 		Period:  cfg.SOC.TestPeriodNs,
 		Workers: cfg.Workers,
-		Solver:  cfg.Solver,
+		Solver:  SolverSparse,
 	}
-	// Resolve the auto tier against the mesh size before anything solves;
-	// System.Solver always holds a concrete tier after Build.
-	sys.Solver = cfg.Solver.Resolve(cfg.Grid.N * cfg.Grid.N)
 	if err := sys.buildGrids(); err != nil {
 		return nil, err
 	}
@@ -186,9 +175,9 @@ func (sys *System) buildGrids() error {
 		return vdd, vss, nil
 	}
 	p := sys.Cfg.Grid
-	// The grids inherit the system's worker knob: it drives the multigrid
-	// passes and the sparse factorization's subtree fan-out (both
-	// bit-identical for any count, so this is purely a scheduling choice).
+	// The grids inherit the system's worker knob: it drives the sparse
+	// factorization's subtree fan-out (bit-identical for any count, so
+	// this is purely a scheduling choice).
 	p.Workers = sys.Cfg.Workers
 	vdd, vss, err := mk(p)
 	if err != nil {
@@ -201,10 +190,9 @@ func (sys *System) buildGrids() error {
 		for i := range cur {
 			cur[i] /= 2 // rising edges only on the VDD rail
 		}
-		// Calibrate with the exact sparse solve regardless of the
-		// configured per-pattern solver: the scale factor then carries no
-		// iteration-tolerance noise, so -solver only changes how solves
-		// are computed, never which grids they run on.
+		// Calibrate with the exact sparse solve regardless of
+		// System.Solver, so switching tiers later only changes how
+		// solves are computed, never which grids they run on.
 		sol, err := vdd.SolveSparse(vdd.InjectInstCurrents(sys.D, cur), nil, nil)
 		if err != nil {
 			return fmt.Errorf("core: grid calibration: %w", err)

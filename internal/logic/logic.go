@@ -171,9 +171,6 @@ func (w Word) Xor(x Word) Word {
 // Known returns a mask of the slots that hold a defined (non-X) value.
 func (w Word) Known() uint64 { return w.Zero | w.One }
 
-// Eq reports whether the two words are identical in every slot.
-func (w Word) Eq(x Word) bool { return w == x }
-
 // Diff returns a mask of slots where w and x hold different *defined*
 // values (one is 0 and the other is 1). Slots where either side is X are
 // never reported as different.

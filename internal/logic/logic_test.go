@@ -182,9 +182,6 @@ func TestDiff(t *testing.T) {
 	if d := a.Diff(b); d != 1 {
 		t.Fatalf("Diff = %b, want only slot 0", d)
 	}
-	if !a.Eq(a) || a.Eq(b) {
-		t.Fatal("Eq wrong")
-	}
 }
 
 func TestSelect(t *testing.T) {

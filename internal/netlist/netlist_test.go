@@ -381,20 +381,16 @@ func TestAccessorsAndNetCap(t *testing.T) {
 	if d.Net(n1).Name != "n1" {
 		t.Fatal("Net accessor")
 	}
-	// NetCap on an instance-driven net equals LoadCap of its driver.
-	drv := d.Net(n1).Driver
-	if got, want := d.NetCap(n1), d.LoadCap(drv); got != want {
-		t.Fatalf("NetCap %v, LoadCap %v", got, want)
-	}
-	// NetCap on a PI net counts only wire + load pins.
-	a := d.PIs[0]
-	d.Nets[a].WireCap = 3
-	want := 3.0
-	for _, p := range d.Nets[a].Loads {
+	// LoadCap of n1's driver counts its output pin, the wire and every
+	// load pin.
+	net := d.Net(n1)
+	net.WireCap = 3
+	want := d.Lib.Cell(d.Inst(net.Driver).Kind).OutputCap + 3
+	for _, p := range net.Loads {
 		want += d.Lib.Cell(d.Insts[p.Inst].Kind).InputCap
 	}
-	if got := d.NetCap(a); got != want {
-		t.Fatalf("PI NetCap %v, want %v", got, want)
+	if got := d.LoadCap(net.Driver); got != want {
+		t.Fatalf("LoadCap %v, want %v", got, want)
 	}
 }
 

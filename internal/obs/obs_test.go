@@ -41,11 +41,11 @@ func resetForTest(t *testing.T) {
 		s.next = 0
 		s.mu.Unlock()
 	}
-	DisableTrace()
+	tracing.Store(false)
 	Disable()
 	t.Cleanup(func() {
 		StopSnapshots()
-		DisableTrace()
+		tracing.Store(false)
 		Disable()
 		timeNow = time.Now
 	})

@@ -33,7 +33,7 @@ func buildGoldenReport(t *testing.T) *Report {
 	RegisterDerived("pgrid.factor.cache_hits", func(c map[string]int64) (float64, bool) {
 		return float64(c["pgrid.factor.calls"] - c["pgrid.factor.builds"]), c["pgrid.factor.calls"] > 0
 	})
-	// The multigrid tier's per-solve family (see pgrid/multigrid.go).
+	// A per-solve counter family with a gauge and a derived ratio.
 	NewCounter("pgrid.mg.solves").Add(4)
 	NewCounter("pgrid.mg.vcycles").Add(10)
 	NewGauge("pgrid.mg.levels").Max(3)

@@ -104,9 +104,6 @@ func EnableTrace(capacity, sample int) {
 	tracing.Store(true)
 }
 
-// DisableTrace turns trace recording back off (tests).
-func DisableTrace() { tracing.Store(false) }
-
 // TraceOn reports whether trace events are being recorded.
 func TraceOn() bool { return tracing.Load() }
 

@@ -72,12 +72,26 @@ func Read(r io.Reader, d *netlist.Design) ([]atpg.Pattern, error) {
 	expect := func(prefix string) (string, error) {
 		txt, ok := next()
 		if !ok {
+			if err := sc.Err(); err != nil {
+				return "", fmt.Errorf("pattern: line %d: %v", line+1, err)
+			}
 			return "", fmt.Errorf("pattern: line %d: unexpected EOF, want %q", line, prefix)
 		}
 		if !strings.HasPrefix(txt, prefix) {
 			return "", fmt.Errorf("pattern: line %d: want %q, got %q", line, prefix, txt)
 		}
 		return strings.TrimSpace(strings.TrimPrefix(txt, prefix)), nil
+	}
+	expectInt := func(prefix string) (int, error) {
+		s, err := expect(prefix)
+		if err != nil {
+			return 0, err
+		}
+		v, err := strconv.Atoi(s)
+		if err != nil {
+			return 0, fmt.Errorf("pattern: line %d: %v", line, err)
+		}
+		return v, nil
 	}
 
 	if _, err := expect("SCAPPAT 1"); err != nil {
@@ -86,11 +100,11 @@ func Read(r io.Reader, d *netlist.Design) ([]atpg.Pattern, error) {
 	if _, err := expect("design "); err != nil {
 		return nil, err
 	}
-	nf, err := expectInt(expect, "flops ")
+	nf, err := expectInt("flops ")
 	if err != nil {
 		return nil, err
 	}
-	np, err := expectInt(expect, "pis ")
+	np, err := expectInt("pis ")
 	if err != nil {
 		return nil, err
 	}
@@ -98,12 +112,17 @@ func Read(r io.Reader, d *netlist.Design) ([]atpg.Pattern, error) {
 		return nil, fmt.Errorf("pattern: file is for %d flops / %d PIs, design has %d / %d",
 			nf, np, len(d.Flops), len(d.PIs))
 	}
-	count, err := expectInt(expect, "patterns ")
+	count, err := expectInt("patterns ")
 	if err != nil {
 		return nil, err
 	}
+	if count < 0 {
+		return nil, fmt.Errorf("pattern: line %d: negative pattern count %d", line, count)
+	}
 
-	pats := make([]atpg.Pattern, 0, count)
+	// The slice grows as patterns parse: the header's count is untrusted
+	// input, so it never sizes an allocation.
+	pats := []atpg.Pattern{}
 	for i := 0; i < count; i++ {
 		head, err := expect("pattern ")
 		if err != nil {
@@ -154,14 +173,6 @@ func Read(r io.Reader, d *netlist.Design) ([]atpg.Pattern, error) {
 		pats = append(pats, p)
 	}
 	return pats, sc.Err()
-}
-
-func expectInt(expect func(string) (string, error), prefix string) (int, error) {
-	s, err := expect(prefix)
-	if err != nil {
-		return 0, err
-	}
-	return strconv.Atoi(s)
 }
 
 func parseBits(s string, want int) ([]logic.V, error) {

@@ -15,7 +15,7 @@ import (
 	"scap/internal/soc"
 )
 
-func patternSet(t *testing.T) (*netlist.Design, []atpg.Pattern) {
+func patternSet(t testing.TB) (*netlist.Design, []atpg.Pattern) {
 	t.Helper()
 	d, _, err := soc.Generate(soc.DefaultConfig(96))
 	if err != nil {
@@ -100,15 +100,20 @@ func TestReadErrors(t *testing.T) {
 	}
 	good := buf.String()
 	cases := map[string]string{
-		"bad magic":     strings.Replace(good, "SCAPPAT 1", "NOPE 9", 1),
-		"bad flops":     strings.Replace(good, "flops ", "flops x", 1),
-		"bad bit":       strings.Replace(good, " v1 0", " v1 Z", 1),
-		"truncated":     good[:len(good)/2],
-		"bad attribute": strings.Replace(good, "target=", "target:", 1),
+		"bad magic":      strings.Replace(good, "SCAPPAT 1", "NOPE 9", 1),
+		"bad flops":      strings.Replace(good, "flops ", "flops x", 1),
+		"bad bit":        strings.Replace(good, " v1 0", " v1 Z", 1),
+		"truncated":      good[:len(good)/2],
+		"bad attribute":  strings.Replace(good, "target=", "target:", 1),
+		"negative count": strings.Replace(good, "patterns 1", "patterns -1", 1),
+		"huge count":     strings.Replace(good, "patterns 1", "patterns 4000000000000", 1),
 	}
 	for name, src := range cases {
-		if _, err := Read(strings.NewReader(src), d); err == nil {
+		_, err := Read(strings.NewReader(src), d)
+		if err == nil {
 			t.Errorf("%s: accepted", name)
+		} else if !strings.Contains(err.Error(), "line ") {
+			t.Errorf("%s: error %q carries no line", name, err)
 		}
 	}
 	// X bits survive the trip.
@@ -151,4 +156,39 @@ func TestStats(t *testing.T) {
 	if _, err := Stats(d, bad); err == nil {
 		t.Fatal("bad length accepted")
 	}
+}
+
+// FuzzRead feeds arbitrary bytes to Read against a fixed design. Read
+// must never panic, and every input it accepts must survive
+// Write→Read→Write byte for byte.
+func FuzzRead(f *testing.F) {
+	d, pats := patternSet(f)
+	var buf bytes.Buffer
+	if err := Write(&buf, d, pats[:2]); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.String()
+	f.Add(good)
+	f.Add(strings.Replace(good, "patterns 2", "patterns -1", 1))
+	f.Add(strings.Replace(good, "patterns 2", "patterns 4000000000000", 1))
+	f.Fuzz(func(t *testing.T, src string) {
+		got, err := Read(strings.NewReader(src), d)
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := Write(&first, d, got); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(bytes.NewReader(first.Bytes()), d)
+		if err != nil {
+			t.Fatalf("re-reading Write output: %v", err)
+		}
+		if err := Write(&second, d, back); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("Write→Read→Write not byte-identical:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

@@ -287,8 +287,8 @@ func TestSparseBatchConcurrentSolves(t *testing.T) {
 }
 
 // TestBlockTableMatchesFloorplanScan: the per-grid node→block table
-// gives WorstPerBlock and MeanPerBlock bit-identical to scanning the
-// floorplan at every node centre, on square and non-square dies.
+// gives WorstPerBlock bit-identical to scanning the floorplan at every
+// node centre, on square and non-square dies.
 func TestBlockTableMatchesFloorplanScan(t *testing.T) {
 	rect := &place.Floorplan{W: place.DieSize, H: 0.35 * place.DieSize, Blocks: place.NewFloorplan().Blocks}
 	for _, fp := range []*place.Floorplan{place.NewFloorplan(), rect} {
@@ -305,37 +305,22 @@ func TestBlockTableMatchesFloorplanScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			nb := len(fp.Blocks)
-			wantWorst, wantMean := scanPerBlock(g, fp, sol, nb)
-			if at := sameBits(sol.WorstPerBlock(g, nb), wantWorst); at >= 0 {
+			if at := sameBits(sol.WorstPerBlock(g, nb), scanWorstPerBlock(g, fp, sol, nb)); at >= 0 {
 				t.Fatalf("fp %vx%v n=%d: WorstPerBlock differs at block %d", fp.W, fp.H, n, at)
-			}
-			if at := sameBits(sol.MeanPerBlock(g, nb), wantMean); at >= 0 {
-				t.Fatalf("fp %vx%v n=%d: MeanPerBlock differs at block %d", fp.W, fp.H, n, at)
 			}
 		}
 	}
 }
 
-// scanPerBlock is the per-node floorplan scan the block table replaced:
-// the oracle for WorstPerBlock and MeanPerBlock.
-func scanPerBlock(g *Grid, fp *place.Floorplan, sol *Solution, nb int) (worst, mean []float64) {
-	worst = make([]float64, nb+1)
-	mean = make([]float64, nb+1)
-	cnt := make([]int, nb+1)
+// scanWorstPerBlock is the per-node floorplan scan the block table
+// replaced: the oracle for WorstPerBlock.
+func scanWorstPerBlock(g *Grid, fp *place.Floorplan, sol *Solution, nb int) []float64 {
+	worst := make([]float64, nb+1)
 	for node, d := range sol.Drop {
 		if b := fp.BlockAt(g.NodeXY(node)); b >= 0 && b < nb {
 			worst[b] = max(worst[b], d)
-			mean[b] += d
-			cnt[b]++
 		}
 		worst[nb] = max(worst[nb], d)
-		mean[nb] += d
-		cnt[nb]++
 	}
-	for b := range mean {
-		if cnt[b] > 0 {
-			mean[b] /= float64(cnt[b])
-		}
-	}
-	return worst, mean
+	return worst
 }

@@ -54,15 +54,7 @@ func (g *Grid) Factor() (*Factorization, error) {
 // factorize assembles the banded conductance matrix and eliminates it.
 func factorize(g *Grid) (*Factorization, error) {
 	defer obs.TraceStart().End("pgrid", "banded-factor")
-	return levelFactorize(g.P.N, g.padG, 1/g.P.SegRes)
-}
-
-// levelFactorize factors the generic level operator the multigrid
-// hierarchy shares with the fine grid: an n×n 5-point mesh with segment
-// conductance gseg and a per-node diagonal anchor term padG (the pad
-// conductances on the fine grid, their full-weighting aggregates on the
-// coarse levels). factorize(g) is exactly the padG = g.padG instance.
-func levelFactorize(n int, padG []float64, gseg float64) (*Factorization, error) {
+	n, gseg := g.P.N, 1/g.P.SegRes
 	nn := n * n
 	bw := n
 	f := &Factorization{
@@ -81,7 +73,7 @@ func levelFactorize(n int, padG []float64, gseg float64) (*Factorization, error)
 			dst[k] = 0
 		}
 		ix, iy := i%n, i/n
-		diag := padG[i]
+		diag := g.padG[i]
 		if ix > 0 {
 			diag += gseg
 			dst[bw-1] = -gseg // column i-1
@@ -127,49 +119,13 @@ func levelFactorize(n int, padG []float64, gseg float64) (*Factorization, error)
 	return f, nil
 }
 
-// SolveScratch is caller-owned intermediate storage for the direct and
-// multigrid solve paths: the banded forward-substitution vector, the
-// sparse tier's interleaved batch work vector, and the per-level
-// multigrid buffers (each grown lazily on first use). One per worker;
-// never shared between concurrent solves.
+// SolveScratch is caller-owned intermediate storage for the direct
+// solve paths: the banded forward-substitution vector and the sparse
+// tier's interleaved batch work vector (each grown lazily on first use).
+// One per worker; never shared between concurrent solves.
 type SolveScratch struct {
 	y     []float64
 	lanes [][BatchWidth]float64
-	mg    *mgScratch
-}
-
-// solveBand solves the factored system L·D·Lᵀ·v = b in the raw mesh
-// units (mV against mA injections): the forward sweep lands in y, the
-// diagonal scale and backward sweep in v. b and v may alias. Both the
-// user-facing SolveFactored and the multigrid coarse-grid solve run
-// through here.
-func (f *Factorization) solveBand(b, v, y []float64) {
-	nn, bw := f.nn, f.bw
-	// Forward sweep: L·y = b (unit lower triangular, banded).
-	for i := 0; i < nn; i++ {
-		s := b[i]
-		omax := i
-		if omax > bw {
-			omax = bw
-		}
-		li := f.l[i*bw:]
-		for o := 1; o <= omax; o++ {
-			s -= li[o-1] * y[i-o]
-		}
-		y[i] = s
-	}
-	// Diagonal + backward sweep: Lᵀ·v = D⁻¹·y.
-	for i := nn - 1; i >= 0; i-- {
-		s := y[i] / f.d[i]
-		omax := nn - 1 - i
-		if omax > bw {
-			omax = bw
-		}
-		for o := 1; o <= omax; o++ {
-			s -= f.l[(i+o)*bw+(o-1)] * v[i+o]
-		}
-		v[i] = s
-	}
 }
 
 // SolveFactored solves G·v = I for a per-node current injection (mA)
@@ -212,7 +168,32 @@ func (g *Grid) SolveFactored(injMA []float64, reuse *Solution, scratch *SolveScr
 	// in 1/Ω against mA); convert to volts in a final pass that also
 	// finds the worst drop, mirroring SolveWarm.
 	v := sol.Drop
-	f.solveBand(injMA, v, y)
+	bw := f.bw
+	// Forward sweep: L·y = I (unit lower triangular, banded).
+	for i := 0; i < nn; i++ {
+		s := injMA[i]
+		omax := i
+		if omax > bw {
+			omax = bw
+		}
+		li := f.l[i*bw:]
+		for o := 1; o <= omax; o++ {
+			s -= li[o-1] * y[i-o]
+		}
+		y[i] = s
+	}
+	// Diagonal + backward sweep: Lᵀ·v = D⁻¹·y.
+	for i := nn - 1; i >= 0; i-- {
+		s := y[i] / f.d[i]
+		omax := nn - 1 - i
+		if omax > bw {
+			omax = bw
+		}
+		for o := 1; o <= omax; o++ {
+			s -= f.l[(i+o)*bw+(o-1)] * v[i+o]
+		}
+		v[i] = s
+	}
 	for i := range v {
 		v[i] *= 1e-3 // mV -> V
 		if v[i] > sol.Worst {

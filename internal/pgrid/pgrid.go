@@ -6,10 +6,10 @@
 // sparse nested-dissection LDLᵀ factorization (SolveSparse and the
 // batched SolveSparseBatch — the per-pattern hot path, which amortizes
 // the matrix work once per grid and streams the factor once per
-// BatchWidth injections), a cached banded LDLᵀ (SolveFactored), geometric
-// multigrid (SolveMultigrid), or successive over-relaxation
-// (Solve/SolveWarm — the iterative cross-validation oracle, which no
-// production solver tier dispatches to).
+// BatchWidth injections), a cached banded LDLᵀ (SolveFactored), or
+// successive over-relaxation (Solve/SolveWarm — the iterative
+// cross-validation oracle, which no production solver tier dispatches
+// to).
 //
 // Both analyses of the paper run on top of this solver:
 //
@@ -62,9 +62,9 @@ type Params struct {
 	MaxIter   int     // SOR iteration cap
 	Tol       float64 // convergence threshold on max node update, volts
 	Omega     float64 // SOR relaxation factor (1..2)
-	// Workers fans the multigrid smoother/residual/transfer passes across
-	// the internal/parallel pool (<= 0 means all cores, 1 forces the
-	// serial path). Results are bit-identical for any value.
+	// Workers fans the sparse numeric factorization's independent
+	// subtrees across the internal/parallel pool (<= 0 means all cores,
+	// 1 forces the serial path). Results are bit-identical for any value.
 	Workers int
 }
 
@@ -121,12 +121,6 @@ type Grid struct {
 	sparseOnce sync.Once
 	sparse     *SparseFactorization
 	sparseErr  error
-
-	// Cached geometric multigrid hierarchy (see multigrid.go); same lazy
-	// build / shared read-only discipline as the two factorizations.
-	mgOnce sync.Once
-	mg     *Multigrid
-	mgErr  error
 }
 
 // New builds the mesh over the floorplan's die.
@@ -352,26 +346,4 @@ func (s *Solution) WorstPerBlock(g *Grid, numBlocks int) []float64 {
 		}
 	}
 	return out
-}
-
-// MeanPerBlock returns the average node drop inside each block rectangle,
-// plus a chip-level entry.
-func (s *Solution) MeanPerBlock(g *Grid, numBlocks int) []float64 {
-	sum := make([]float64, numBlocks+1)
-	cnt := make([]int, numBlocks+1)
-	blocks := g.nodeBlock[:len(s.Drop)]
-	for node, d := range s.Drop {
-		if b := int(blocks[node]); b >= 0 && b < numBlocks {
-			sum[b] += d
-			cnt[b]++
-		}
-		sum[numBlocks] += d
-		cnt[numBlocks]++
-	}
-	for i := range sum {
-		if cnt[i] > 0 {
-			sum[i] /= float64(cnt[i])
-		}
-	}
-	return sum
 }

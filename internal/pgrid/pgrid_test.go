@@ -165,12 +165,6 @@ func TestStatisticalSOCB5Hottest(t *testing.T) {
 	if worst[d.NumBlocks] < worst[soc.B5] {
 		t.Fatal("chip worst below B5 worst")
 	}
-	mean := sol.MeanPerBlock(g, d.NumBlocks)
-	for b := range mean {
-		if mean[b] > worst[b] {
-			t.Fatalf("block %d mean %v above worst %v", b, mean[b], worst[b])
-		}
-	}
 	t.Logf("worst drops per block: %v (chip %v)", worst[:d.NumBlocks], worst[d.NumBlocks])
 }
 

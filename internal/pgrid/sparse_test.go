@@ -37,7 +37,8 @@ func TestNestedDissectionRoundTrip(t *testing.T) {
 
 // TestSparseMatchesOracles cross-validates the sparse tier against the
 // banded factorization and the dense Gaussian oracle on randomized
-// meshes (the same regime as TestSolveFactoredPropertyEquivalence).
+// meshes (the same regime as TestSolveFactoredPropertyEquivalence), and
+// against the dense oracle on a non-square die.
 func TestSparseMatchesOracles(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	const tol = 1e-9
@@ -68,6 +69,36 @@ func TestSparseMatchesOracles(t *testing.T) {
 		}
 		if d := math.Abs(sp.Worst - fac.Worst); d > tol {
 			t.Fatalf("trial %d: worst sparse %v vs factored %v", trial, sp.Worst, fac.Worst)
+		}
+	}
+	// A rectangular die lands the pads asymmetrically, so padG loses the
+	// square symmetry; the degenerate sizes bottom out the dissection.
+	fp := &place.Floorplan{W: place.DieSize, H: 0.35 * place.DieSize}
+	for _, n := range []int{1, 2, 3, 7, 16, 21, 40} {
+		p := DefaultParams()
+		p.N = n
+		g, err := New(fp, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nn := n * n
+		inj := make([]float64, nn)
+		for i := range inj {
+			inj[i] = float64((i*31)%17) * 0.5
+		}
+		inj[nn/2] += 25
+		sp, err := g.SolveSparse(inj, nil, nil)
+		if err != nil {
+			t.Fatalf("rect n=%d: sparse: %v", n, err)
+		}
+		direct, err := g.SolveDirect(inj)
+		if err != nil {
+			t.Fatalf("rect n=%d: direct: %v", n, err)
+		}
+		for i := range sp.Drop {
+			if d := math.Abs(sp.Drop[i] - direct.Drop[i]); d > tol {
+				t.Fatalf("rect n=%d node %d: sparse %v vs direct %v", n, i, sp.Drop[i], direct.Drop[i])
+			}
 		}
 	}
 }
